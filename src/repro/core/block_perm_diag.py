@@ -16,8 +16,9 @@ Because non-zero positions are arithmetically derivable, every index
 artifact -- the global row/column of each stored slot, the support mask,
 the forward gather columns, the transposed gather pair, and the CSR
 skeletons used by the sparse products -- is a pure function of the
-*structure* ``(ks, shape, p)`` and never of the values.  All of it is
-computed once, lazily, in an :class:`_IndexPlan` cached on the matrix;
+*structure* ``(ks, shape, p)`` and never of the values.  Each is computed
+once, lazily, in ``O(N)`` and without sorting, in an :class:`_IndexPlan`
+cached on the matrix;
 every product (:meth:`~BlockPermutedDiagonalMatrix.matmat`,
 :meth:`~BlockPermutedDiagonalMatrix.rmatmat`,
 :meth:`~BlockPermutedDiagonalMatrix.grad_data`, ...) reads the plan instead
@@ -79,13 +80,17 @@ then :func:`repro.core.backends.set_default_backend`, then the
 
 Plan serialization
 ------------------
-A warmed :class:`_IndexPlan` round-trips through
+The forward serving plan -- structure, support mask and forward CSR
+skeleton -- round-trips through
 :meth:`~BlockPermutedDiagonalMatrix.plan_bytes` /
 :meth:`~BlockPermutedDiagonalMatrix.from_plan` (and
 :meth:`~BlockPermutedDiagonalMatrix.adopt_plan`), so deployment surfaces
 (``repro.hw.engine`` images, ``repro.nn.serialization`` checkpoints,
-``repro.core.storage``) can persist the index arithmetic once and reload
-matrices without recomputing any of it.
+``repro.core.storage``) reload matrices without building a plan or
+sorting anything.  The other members are left out on purpose: each is an
+``O(N)`` function of the structure, derived on first use, while persisting
+them would multiply the artifact size several times over the values.
+Deserialized skeletons are range-checked before any kernel sees them.
 """
 
 from __future__ import annotations
@@ -117,11 +122,6 @@ _GATHER_ELEMENT_LIMIT = 50_000_000
 # still accepted and read as untagged (float64-era) plans.
 _PLAN_FORMAT_VERSION = 2
 _PLAN_MIN_FORMAT_VERSION = 1
-
-# Lazily-built plan members, as (serialization key, attribute) pairs; each
-# is a tuple of arrays when built, None otherwise.
-_PLAN_LAZY_FIELDS = (("t", "_t_arrays"), ("sc", "_support_coords"))
-
 
 def _resolve_value_dtype(value_dtype, fixed_point):
     """Canonical ``(name, format)`` for a constructor's value-dtype args.
@@ -206,10 +206,12 @@ class _IndexPlan:
     """Cached index arithmetic for one ``(ks, shape, p)`` structure.
 
     Built lazily, once, and shared by every matrix that uses the structure
-    (see :meth:`BlockPermutedDiagonalMatrix.like`).  The eager members are
-    the forward-path arrays; the transpose pair, support coordinates and
-    CSR skeletons are themselves built lazily on first use so forward-only
-    consumers never pay for them.  All exposed arrays are read-only.
+    (see :meth:`BlockPermutedDiagonalMatrix.like`).  Only the structure,
+    the support mask and ``nnz`` are eager; every index array -- the
+    per-slot rows/columns, the transpose pair, the support coordinates and
+    both CSR skeletons -- is derived from them on first use, in ``O(N)``
+    with no sort, so forward-only consumers never pay for the rest.  All
+    exposed arrays are read-only.
 
     Attributes:
         rows / cols: global ``(row, col)`` of every stored slot, ``(mb, nb, p)``.
@@ -220,35 +222,30 @@ class _IndexPlan:
     """
 
     def __init__(self, ks: np.ndarray, shape: tuple[int, int], p: int) -> None:
-        mb, nb = ks.shape
+        self._set_structure(ks, shape, p)
         m, n = shape
+        if self.full_support:
+            support = np.ones((self.mb, self.nb, p), dtype=bool)
+        else:
+            row_ok = (np.arange(self.mb * p) < m).reshape(self.mb, 1, p)
+            support = row_ok & (self.cols < n)
+        support.setflags(write=False)
+        self.support = support
+        self.nnz = int(support.sum())
+
+    def _set_structure(
+        self, ks: np.ndarray, shape: tuple[int, int], p: int
+    ) -> None:
+        """Structure fields, with every derived member left unbuilt."""
         self.p = p
-        self.mb = mb
-        self.nb = nb
+        self.mb, self.nb = ks.shape
         self.shape = shape
         self.ks = ks
-        self.aligned_m = m == mb * p
-        self.aligned_n = n == nb * p
+        self.aligned_m = shape[0] == self.mb * p
+        self.aligned_n = shape[1] == self.nb * p
         self.full_support = self.aligned_m and self.aligned_n
-        c = np.arange(p, dtype=np.int64)
-        rows = np.ascontiguousarray(
-            np.broadcast_to(
-                np.arange(mb, dtype=np.int64)[:, None, None] * p + c, (mb, nb, p)
-            )
-        )
-        cols = (
-            np.arange(nb, dtype=np.int64)[None, :, None] * p
-            + (c[None, None, :] + ks[:, :, None]) % p
-        )
-        if self.full_support:
-            support = np.ones((mb, nb, p), dtype=bool)
-        else:
-            support = (rows < m) & (cols < n)
-        self.nnz = int(support.sum())
-        for arr in (rows, cols, support):
-            arr.setflags(write=False)
-        self.rows, self.cols, self.support = rows, cols, support
-        self.flat_cols = cols.reshape(-1)  # after the freeze: read-only view
+        self._rows: np.ndarray | None = None
+        self._cols: np.ndarray | None = None
         self._t_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._support_coords: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._csr_structs: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -258,6 +255,34 @@ class _IndexPlan:
         # to restore a matrix at its persisted precision.
         self.value_dtype_hint: str | None = None
         self.fixed_point_hint: tuple[int, int] | None = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            p = self.p
+            rows = np.arange(self.mb * p, dtype=np.int64).reshape(self.mb, 1, p)
+            rows = np.ascontiguousarray(
+                np.broadcast_to(rows, (self.mb, self.nb, p))
+            )
+            rows.setflags(write=False)
+            self._rows = rows
+        return self._rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        if self._cols is None:
+            p = self.p
+            cols = (
+                np.arange(self.nb, dtype=np.int64)[None, :, None] * p
+                + (np.arange(p, dtype=np.int64) + self.ks[:, :, None]) % p
+            )
+            cols.setflags(write=False)
+            self._cols = cols
+        return self._cols
+
+    @property
+    def flat_cols(self) -> np.ndarray:
+        return self.cols.reshape(-1)  # a view of the read-only cols
 
     def support_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(flat, rows, cols)`` of every in-bounds slot, each 1-D.
@@ -318,25 +343,47 @@ class _IndexPlan:
         """
         key = bool(transposed)
         if key not in self._csr_structs:
-            flat, r, c = self.support_coords()
+            # Row r of one block row meets exactly one slot per block
+            # column, at a column that grows with the block column (and
+            # likewise for W.T), so walking the slots in (block row, row
+            # offset, block column) order *is* CSR order: no sort needed.
             if transposed:
-                rows, cols, height = c, r, self.shape[1]
+                t_src, t_cols = self.transpose_arrays()
+                perm, cols = t_src.transpose(0, 2, 1), t_cols.transpose(0, 2, 1)
+                height = self.shape[1]
             else:
-                rows, cols, height = r, c, self.shape[0]
+                perm = np.arange(self.support.size, dtype=np.int64)
+                perm = perm.reshape(self.support.shape).transpose(0, 2, 1)
+                cols = self.cols.transpose(0, 2, 1)
+                height = self.shape[0]
+            keep = self.support.reshape(-1)[perm]
             idx_dtype = (
                 np.int32
                 if max(self.shape[0], self.shape[1], self.nnz) < 2**31
                 else np.int64
             )
-            order = np.lexsort((cols, rows))
             indptr = np.zeros(height + 1, dtype=idx_dtype)
-            indptr[1:] = np.cumsum(np.bincount(rows, minlength=height))
-            indices = cols[order].astype(idx_dtype, copy=False)
-            perm = flat[order]
+            np.cumsum(keep.sum(axis=2).reshape(-1)[:height], out=indptr[1:])
+            indices = cols[keep].astype(idx_dtype, copy=False)
+            perm = perm[keep]
             for arr in (indptr, indices, perm):
                 arr.setflags(write=False)
             self._csr_structs[key] = (indptr, indices, perm)
         return self._csr_structs[key]
+
+    def transposed(self) -> "_IndexPlan":
+        """Plan of ``W.T`` (``k_t = (-k) mod p`` per block), built from
+        this one: a transposed slot is in bounds iff its source slot is."""
+        t_src, _ = self.transpose_arrays()
+        ks_t = (-self.ks.T) % self.p
+        support = self.support.reshape(-1)[t_src]
+        for arr in (ks_t, support):
+            arr.setflags(write=False)
+        plan = _IndexPlan.__new__(_IndexPlan)
+        plan._set_structure(ks_t, self.shape[::-1], self.p)
+        plan.support = support
+        plan.nnz = self.nnz
+        return plan
 
     # ------------------------------------------------------------------
     # Row sharding
@@ -345,13 +392,11 @@ class _IndexPlan:
     def row_block_slice(self, start: int, stop: int) -> "_IndexPlan":
         """Derived plan covering block rows ``[start, stop)`` only.
 
-        Everything is obtained by **slicing (and re-basing) this plan's
-        cached arrays** -- no modulo index arithmetic runs, which is what
-        lets the serving runtime shard a layer across engines without
-        paying the structure computation per shard.  ``cols`` and
-        ``support`` are shared views; ``rows`` and the transposed pair
-        (when already built here) are re-based copies.  Members this plan
-        has not built stay lazy on the shard too.
+        ``ks``, ``support`` and ``cols`` are shared views of this plan's
+        arrays and the transposed pair (when already built here) a re-based
+        copy, which is what lets the serving runtime shard a layer across
+        engines without paying the structure computation per shard.  Other
+        members this plan has not built stay lazy on the shard too.
         """
         if not (0 <= start < stop <= self.mb):
             raise ValueError(
@@ -360,22 +405,15 @@ class _IndexPlan:
             )
         p = self.p
         shard = _IndexPlan.__new__(_IndexPlan)
-        shard.p = p
-        shard.mb = stop - start
-        shard.nb = self.nb
         # The last shard of a row-padded matrix keeps the padding.
-        shard.shape = (min(shard.mb * p, self.shape[0] - start * p), self.shape[1])
-        shard.ks = self.ks[start:stop]
-        shard.aligned_m = shard.shape[0] == shard.mb * p
-        shard.aligned_n = self.aligned_n
-        shard.full_support = shard.aligned_m and shard.aligned_n
-        rows = np.ascontiguousarray(self.rows[start:stop] - start * p)
-        rows.setflags(write=False)
-        shard.rows = rows
-        shard.cols = self.cols[start:stop]
+        shard._set_structure(
+            self.ks[start:stop],
+            (min((stop - start) * p, self.shape[0] - start * p), self.shape[1]),
+            p,
+        )
         shard.support = self.support[start:stop]
-        shard.flat_cols = shard.cols.reshape(-1)
         shard.nnz = int(shard.support.sum())
+        shard._cols = self.cols[start:stop]
         if self._t_arrays is not None:
             t_src, t_cols = self._t_arrays
             # Re-base: shard slot (bj, bi', d) reads data[start + bi'] of
@@ -387,12 +425,6 @@ class _IndexPlan:
             t_src_s.setflags(write=False)
             t_cols_s.setflags(write=False)
             shard._t_arrays = (t_src_s, t_cols_s)
-        else:
-            shard._t_arrays = None
-        shard._support_coords = None
-        shard._csr_structs = {}
-        shard.value_dtype_hint = None
-        shard.fixed_point_hint = None
         return shard
 
     # ------------------------------------------------------------------
@@ -400,27 +432,24 @@ class _IndexPlan:
     # ------------------------------------------------------------------
 
     def warm(self) -> "_IndexPlan":
-        """Force-build every lazy member (transpose pair, support
-        coordinates, both CSR skeletons).  Returns ``self``."""
+        """Force-build every lazy member (rows/columns, transpose pair,
+        support coordinates, both CSR skeletons).  Returns ``self``."""
         self.support_coords()
         self.transpose_arrays()
         self.csr_struct(False)
         self.csr_struct(True)
         return self
 
-    def to_bytes(
-        self,
-        warm: bool = True,
-        value_dtype: str | None = None,
-        fixed_point=None,
-    ) -> bytes:
-        """Serialize the plan (an ``.npz`` payload) for later reattachment.
+    def to_bytes(self, value_dtype: str | None = None, fixed_point=None) -> bytes:
+        """Serialize the forward serving plan (an ``.npz`` payload).
 
-        With ``warm`` (the default) every lazy member is built first, so a
-        plan restored by :meth:`from_bytes` never recomputes *any* index
-        arithmetic -- the property deployment surfaces rely on.  Pass
-        ``warm=False`` to persist only what has been built so far (e.g. a
-        forward-only plan for an inference-only artifact).
+        The payload holds the structure ``(ks, shape, p)``, the support
+        mask and the forward CSR skeleton (built here if needed) -- all a
+        restored plan needs to serve ``matmat`` on the ``csr`` backend
+        without sorting or building anything.  Every other member is
+        derived in ``O(N)`` on first use by the restored plan, so
+        persisting it would only grow the artifact (it is several times
+        the size of the values).
 
         ``value_dtype``/``fixed_point`` (normally supplied by
         :meth:`BlockPermutedDiagonalMatrix.plan_bytes`) tag the payload
@@ -428,16 +457,12 @@ class _IndexPlan:
         :meth:`BlockPermutedDiagonalMatrix.from_plan` can restore it at
         the persisted precision.
         """
-        if warm:
-            self.warm()
         payload: dict[str, np.ndarray] = {
             "version": np.int64(_PLAN_FORMAT_VERSION),
             "p": np.int64(self.p),
             "shape": np.asarray(self.shape, dtype=np.int64),
             "nnz": np.int64(self.nnz),
             "ks": self.ks,
-            "rows": self.rows,
-            "cols": self.cols,
             "support": self.support,
         }
         if value_dtype is not None:
@@ -449,26 +474,22 @@ class _IndexPlan:
                     [fixed_point.total_bits, fixed_point.frac_bits],
                     dtype=np.int64,
                 )
-        for key, attr in _PLAN_LAZY_FIELDS:
-            value = getattr(self, attr)
-            if value is not None:
-                for pos, arr in enumerate(value):
-                    payload[f"{key}{pos}"] = arr
-        for transposed, struct in self._csr_structs.items():
-            for pos, arr in enumerate(struct):
-                payload[f"csr{int(transposed)}_{pos}"] = arr
+        for pos, arr in enumerate(self.csr_struct(False)):
+            payload[f"csr0_{pos}"] = arr
         buffer = io.BytesIO()
         np.savez(buffer, **payload)
         return buffer.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "_IndexPlan":
-        """Rebuild a plan from :meth:`to_bytes` without index recomputation.
+        """Rebuild a plan from :meth:`to_bytes` without building one.
 
-        Every array is restored verbatim (and re-frozen read-only); members
-        absent from the payload stay lazy and would be built on first use.
+        Reads the structure, the support mask and the forward CSR skeleton
+        (re-frozen read-only) and validates them (:meth:`_check`); any
+        other member a payload carries -- older writers persisted every
+        lazy member -- is ignored and derived on first use instead.
         """
-        with np.load(io.BytesIO(bytes(blob))) as archive:
+        with np.load(io.BytesIO(blob)) as archive:
             version = int(archive["version"])
             if not _PLAN_MIN_FORMAT_VERSION <= version <= _PLAN_FORMAT_VERSION:
                 raise ValueError(
@@ -476,55 +497,85 @@ class _IndexPlan:
                     f"(expected {_PLAN_MIN_FORMAT_VERSION}.."
                     f"{_PLAN_FORMAT_VERSION})"
                 )
-            plan = cls.__new__(cls)
-            plan.value_dtype_hint = (
-                str(archive["vd"]) if "vd" in archive.files else None
-            )
-            plan.fixed_point_hint = (
-                tuple(int(v) for v in archive["fp"])
-                if "fp" in archive.files
-                else None
-            )
-            plan.p = int(archive["p"])
-            plan.shape = tuple(int(v) for v in archive["shape"])
-            plan.nnz = int(archive["nnz"])
-            ks = archive["ks"]
-            plan.mb, plan.nb = ks.shape
-            m, n = plan.shape
-            plan.aligned_m = m == plan.mb * plan.p
-            plan.aligned_n = n == plan.nb * plan.p
-            plan.full_support = plan.aligned_m and plan.aligned_n
-            rows, cols, support = (
-                archive["rows"], archive["cols"], archive["support"]
-            )
-            for arr in (ks, rows, cols, support):
+            ks, support = archive["ks"], archive["support"]
+            for arr in (ks, support):
                 arr.setflags(write=False)
-            plan.ks = ks
-            plan.rows, plan.cols, plan.support = rows, cols, support
-            plan.flat_cols = cols.reshape(-1)
-            for key, attr in _PLAN_LAZY_FIELDS:
-                if f"{key}0" in archive.files:
-                    arrays = []
-                    pos = 0
-                    while f"{key}{pos}" in archive.files:
-                        arr = archive[f"{key}{pos}"]
-                        arr.setflags(write=False)
-                        arrays.append(arr)
-                        pos += 1
-                    setattr(plan, attr, tuple(arrays))
-                else:
-                    setattr(plan, attr, None)
-            plan._csr_structs = {}
-            for transposed in (False, True):
-                prefix = f"csr{int(transposed)}_"
-                if f"{prefix}0" in archive.files:
-                    struct = tuple(
-                        archive[f"{prefix}{pos}"] for pos in range(3)
-                    )
-                    for arr in struct:
-                        arr.setflags(write=False)
-                    plan._csr_structs[transposed] = struct
+            plan = cls.__new__(cls)
+            plan._set_structure(
+                ks, tuple(int(v) for v in archive["shape"]), int(archive["p"])
+            )
+            plan.support = support
+            plan.nnz = int(archive["nnz"])
+            if "vd" in archive.files:
+                plan.value_dtype_hint = str(archive["vd"])
+            if "fp" in archive.files:
+                plan.fixed_point_hint = tuple(int(v) for v in archive["fp"])
+            if "csr0_0" in archive.files:
+                struct = tuple(archive[f"csr0_{pos}"] for pos in range(3))
+                for arr in struct:
+                    arr.setflags(write=False)
+                plan._csr_structs[False] = struct
+        plan._check()
         return plan
+
+    def _check(self) -> None:
+        """Vectorised ``O(nnz)`` structural checks of a deserialized plan.
+
+        The forward skeleton feeds scipy's unchecked C kernels, so an
+        out-of-range entry in a corrupted artifact would crash the process
+        on the first product; reject it here with a ``ValueError``.
+        """
+        mb, nb, p = self.mb, self.nb, self.p
+        m, n = self.shape
+        if (
+            self.ks.dtype.kind not in "iu"
+            or p <= 0
+            or not (mb * p - p < m <= mb * p and nb * p - p < n <= nb * p)
+            or (self.ks.size and (self.ks.min() < 0 or self.ks.max() >= p))
+        ):
+            raise ValueError(
+                f"plan structure (shape={self.shape}, p={p}, "
+                f"ks {self.ks.dtype} {self.ks.shape}) is inconsistent"
+            )
+        if (
+            self.support.dtype != bool
+            or self.support.shape != (mb, nb, p)
+            or int(self.support.sum()) != self.nnz
+        ):
+            raise ValueError(
+                f"plan support mask ({self.support.dtype} "
+                f"{self.support.shape}) does not match its structure "
+                f"(nnz={self.nnz})"
+            )
+        if False not in self._csr_structs:
+            return
+        indptr, indices, perm = self._csr_structs[False]
+        if any(
+            arr.ndim != 1 or arr.dtype.kind not in "iu"
+            for arr in (indptr, indices, perm)
+        ):
+            raise ValueError("forward CSR skeleton must be 1-D integer arrays")
+        if (
+            indptr.size != m + 1
+            or indptr[0] != 0
+            or indptr[-1] != self.nnz
+            or np.any(indptr[1:] < indptr[:-1])
+        ):
+            raise ValueError(
+                f"forward CSR indptr must rise monotonically over {m + 1} "
+                f"entries from 0 to nnz={self.nnz}"
+            )
+        if indices.size != self.nnz or perm.size != self.nnz:
+            raise ValueError(
+                f"forward CSR holds {indices.size} indices and {perm.size} "
+                f"value positions, expected nnz={self.nnz}"
+            )
+        if self.nnz and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError(f"forward CSR indices fall outside [0, {n})")
+        if self.nnz and (perm.min() < 0 or perm.max() >= mb * nb * p):
+            raise ValueError(
+                f"forward CSR value positions fall outside [0, {mb * nb * p})"
+            )
 
 
 class BlockPermutedDiagonalMatrix:
@@ -870,9 +921,9 @@ class BlockPermutedDiagonalMatrix:
         The shard **aliases** this matrix's value storage (its ``data`` is
         a view of the corresponding block-row slice, so in-place weight
         updates stay visible) and its index plan is derived from this
-        matrix's cached plan by pure slicing
-        (:meth:`_IndexPlan.row_block_slice`) -- no index arithmetic is
-        recomputed per shard.  Row shards partition the output dimension:
+        matrix's cached plan by slicing
+        (:meth:`_IndexPlan.row_block_slice`) -- no plan is built per
+        shard.  Row shards partition the output dimension:
         stacking every shard's product output reproduces the full product
         bit for bit, which is the contract the sharded serving runtime
         (:mod:`repro.serve`) is built on.
@@ -912,17 +963,16 @@ class BlockPermutedDiagonalMatrix:
     # Plan serialization
     # ------------------------------------------------------------------
 
-    def plan_bytes(self, warm: bool = True) -> bytes:
-        """Serialized index plan (see :meth:`_IndexPlan.to_bytes`).
+    def plan_bytes(self) -> bytes:
+        """Serialized forward serving plan (see :meth:`_IndexPlan.to_bytes`).
 
         Persist this next to the packed values and rebuild with
-        :meth:`from_plan` (or reattach with :meth:`adopt_plan`) to skip all
-        index arithmetic at load time.  The blob is tagged with this
-        matrix's value dtype (and fixed-point format, if any) so
+        :meth:`from_plan` (or reattach with :meth:`adopt_plan`) to skip the
+        plan build and the CSR skeleton at load time.  The blob is tagged
+        with this matrix's value dtype (and fixed-point format, if any) so
         :meth:`from_plan` restores the persisted precision by default.
         """
         return self._get_plan().to_bytes(
-            warm=warm,
             value_dtype=self._value_dtype,
             fixed_point=self._fixed_point,
         )
@@ -964,11 +1014,13 @@ class BlockPermutedDiagonalMatrix:
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> "BlockPermutedDiagonalMatrix":
-        """Matrix around a precomputed plan: **no index arithmetic runs**.
+        """Matrix around a precomputed plan: **no plan is built**.
 
         The inverse of (:meth:`plan_bytes`, :meth:`to_q`): deployment
         surfaces persist both and reconstruct here, paying only the
-        deserialization.  ``data`` follows the aliasing contract.
+        deserialization; a ``csr`` forward product then reads persisted
+        arrays only, and any other member the plan lacks is derived in
+        ``O(N)`` on first use.  ``data`` follows the aliasing contract.
 
         The value dtype is resolved in order: the explicit arguments, the
         dtype tag a version-2 plan blob carries (what
@@ -1245,13 +1297,11 @@ class BlockPermutedDiagonalMatrix:
         :meth:`rmatvec` run transpose-free off the cached plan -- but the
         structured transpose remains part of the public API.
         """
-        t_src, _ = self._get_plan().transpose_arrays()
-        data_t = self._data.ravel()[t_src]
-        ks_t = (-self._ks.T) % self.p
-        return BlockPermutedDiagonalMatrix(
-            data_t,
-            ks_t,
-            shape=(self.shape[1], self.shape[0]),
+        plan = self._get_plan()
+        t_src, _ = plan.transpose_arrays()
+        return BlockPermutedDiagonalMatrix.from_plan(
+            plan.transposed(),
+            self._data.ravel()[t_src],
             value_dtype=self._value_dtype,
             fixed_point=self._fixed_point,
         )

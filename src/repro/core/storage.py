@@ -116,10 +116,10 @@ def save_bpd(
 ) -> None:
     """Serialize a block-PD matrix to ``.npz`` (packed values + metadata).
 
-    With ``include_plan`` the warmed index plan rides along, so
+    With ``include_plan`` the forward serving plan rides along, so
     :func:`load_bpd` rebuilds the matrix via
     :meth:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix.from_plan`
-    without recomputing any index arithmetic.
+    without building a plan.
     """
     payload = {
         "q": matrix.to_q(),

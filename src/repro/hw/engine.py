@@ -75,19 +75,23 @@ def export_engine_image(
     path,
     layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]],
 ) -> None:
-    """Persist a network image the engine can boot without index arithmetic.
+    """Persist a network image the engine can boot without building a plan.
 
     For every layer the image stores the packed ``q`` vector (in the
     layer's storage dtype: float32 values or int16 fixed-point codes ride
     through untouched), its value-dtype tag, the structure
-    ``(ks, shape, p)``, the ActU mode, and the **serialized index plan**
-    (:meth:`~repro.core.BlockPermutedDiagonalMatrix.plan_bytes`, warmed so
-    transpose/CSR skeletons are included).  :func:`load_engine_image` then
+    ``(ks, shape, p)``, the ActU mode, and the **forward serving plan**
+    (:meth:`~repro.core.BlockPermutedDiagonalMatrix.plan_bytes`: support
+    mask plus forward CSR skeleton).  :func:`load_engine_image` then
     rebuilds the matrices via
     :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_plan` -- the
-    deployment path pays deserialization only, never the modulo index
-    recomputation, which is what makes cold-starting a many-layer engine
-    cheap.
+    deployment path pays deserialization only, never a plan build or a
+    sort, which is what makes cold-starting a many-layer engine cheap.
+
+    Members are stored, not deflated: the values barely compress, and
+    everything that would (the index arrays) is derived at load instead
+    of persisted, so export and load cost about as much as writing and
+    reading the weights.
 
     Args:
         path: target ``.npz`` file (or open binary file object).
@@ -114,7 +118,7 @@ def export_engine_image(
         payload[f"layer{idx}_plan"] = np.frombuffer(
             matrix.plan_bytes(), dtype=np.uint8
         )
-    np.savez_compressed(path, **payload)
+    np.savez(path, **payload)
 
 
 def load_engine_image(
@@ -136,8 +140,13 @@ def load_engine_image(
     Returns:
         ``(matrix, activation)`` pairs ready for
         :meth:`PermDNNEngine.run_network`; every matrix carries its
-        deserialized index plan, so no index arithmetic is recomputed,
-        and its exported value dtype (v1 images load as float64).
+        deserialized index plan, so no plan is built, and its exported
+        value dtype (v1 images load as float64).
+
+    Raises:
+        ValueError: a layer's plan fails its structural checks (e.g. an
+            out-of-range CSR index in a corrupted file); the message names
+            the file and the slot.
     """
     if missing_backend not in ("error", "fallback"):
         raise ValueError(
@@ -167,12 +176,17 @@ def load_engine_image(
                 )
             else:  # v1 image: values were always float64
                 value_dtype, fixed_point = "float64", None
-            matrix = BlockPermutedDiagonalMatrix.from_plan(
-                archive[f"layer{idx}_plan"].tobytes(),
-                archive[f"layer{idx}_q"].reshape(mb, nb, p),
-                value_dtype=value_dtype,
-                fixed_point=fixed_point,
-            )
+            try:
+                matrix = BlockPermutedDiagonalMatrix.from_plan(
+                    archive[f"layer{idx}_plan"].tobytes(),
+                    archive[f"layer{idx}_q"].reshape(mb, nb, p),
+                    value_dtype=value_dtype,
+                    fixed_point=fixed_point,
+                )
+            except ValueError as exc:
+                raise ValueError(
+                    f"engine image {path}, slot {idx}: {exc}"
+                ) from exc
             # Cross-check the plan against the image's own metadata so a
             # corrupted or hand-edited archive fails loudly here.
             shape = tuple(int(v) for v in archive[f"layer{idx}_shape"])

@@ -3,8 +3,8 @@
 Checkpoints hold the flat parameter state dict; with ``include_plans=True``
 they additionally embed the serialized index plan of every PD layer
 (:meth:`~repro.core.BlockPermutedDiagonalMatrix.plan_bytes`), so
-:func:`load_model` reattaches the cached index arithmetic instead of
-recomputing it layer by layer on the first product call.
+:func:`load_model` reattaches the forward serving plan instead of
+building it layer by layer on the first product call.
 
 :func:`model_engine_layers` flattens a trained FC model into the
 ``(matrix, activation)`` pairs the hardware surfaces consume
@@ -309,8 +309,8 @@ def save_model(path: str, model: Module, include_plans: bool = False) -> None:
     Args:
         path: target checkpoint path.
         model: the model to snapshot.
-        include_plans: also embed each PD layer's warmed index plan, so
-            :func:`load_model` restores it without index recomputation
+        include_plans: also embed each PD layer's forward serving plan,
+            so :func:`load_model` restores it without a plan build
             (bigger file, faster first step after load).
     """
     state = model.state_dict()

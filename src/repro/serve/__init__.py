@@ -24,8 +24,8 @@ pipeline between the per-layer shard arrays.
   (deterministic / Poisson / bursty / diurnal) for tail-latency
   benchmarking.
 - :func:`export_sharded_bundle` / :func:`load_sharded_bundle` -- one
-  engine image per shard plus a manifest; cold starts never recompute
-  index arithmetic.
+  engine image per shard plus a manifest; cold starts never build an
+  index plan.
 - :func:`run_serving_benchmark` / :func:`run_open_loop_sweep` -- the
   closed-loop and open-loop measurements behind ``repro serve-bench``
   and ``benchmarks/bench_serving.py``, including

@@ -15,9 +15,14 @@ Stages that need non-matrix state (the recurrent stage's gate biases)
 store it in per-stage ``stage<L>_aux.npz`` sidecars referenced from the
 manifest.
 
-Loading a bundle cold-starts a whole sharded server without recomputing
-any index arithmetic: every shard matrix is rebuilt through
-:meth:`~repro.core.BlockPermutedDiagonalMatrix.from_plan`.
+Loading a bundle cold-starts a whole sharded server without building an
+index plan or sorting anything: every shard matrix is rebuilt through
+:meth:`~repro.core.BlockPermutedDiagonalMatrix.from_plan` around its
+persisted forward serving plan (support mask and forward CSR skeleton),
+which is range-checked at load.  Images are stored, not deflated, and
+hold no other index array -- the rest is derived on first use -- so a
+bundle is little bigger than its values.  Bundles from older writers
+(deflated, every plan member persisted) load through the same reader.
 """
 
 from __future__ import annotations
@@ -112,8 +117,8 @@ def export_sharded_bundle(
     Every layer is row-sharded with
     :meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shards` semantics
     (balanced contiguous block-row cuts) and shard ``K`` of every layer
-    lands in ``shard<K>.npz``; plan slicing means export never recomputes
-    index arithmetic either.
+    lands in ``shard<K>.npz``; plan slicing means export never builds a
+    plan per shard either.
 
     Args:
         directory: bundle directory (created if missing).
@@ -206,11 +211,14 @@ def load_staged_bundle(
 ) -> tuple[list, dict]:
     """Reload a bundle as ready-to-serve stage objects.
 
-    Every shard matrix carries its deserialized index plan -- no index
-    arithmetic is recomputed -- and shard shapes, dtypes, and stage
-    layouts are cross-checked against the manifest so a truncated or
-    mixed-up bundle fails loudly.  v1/v2 manifests (no ``stage_kind``)
-    load every entry as a single-slot FC stage.
+    Every shard matrix carries its deserialized forward serving plan --
+    no plan is built and nothing is sorted; other plan members are derived
+    on first use -- and shard shapes, dtypes, and stage layouts are
+    cross-checked against the manifest so a truncated or mixed-up bundle
+    fails loudly.  A plan whose forward CSR skeleton fails its range
+    checks raises ``ValueError`` naming the shard file and slot, before
+    any kernel can read it.  v1/v2 manifests (no ``stage_kind``) load
+    every entry as a single-slot FC stage.
 
     Args:
         directory: bundle directory written by one of the exporters.

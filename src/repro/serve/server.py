@@ -18,9 +18,9 @@ batched numpy/scipy product).  Results are stitched in shard order, so
 threaded and sequential execution are bit-identical by construction.
 
 Sharding reuses the layer matrix's cached index plan through
-:meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shard` (pure slicing of
-the ``_IndexPlan`` arrays -- index arithmetic is computed once per layer,
-never per shard) and shard ``data`` aliases the layer's storage, so a
+:meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shard` (slicing of
+the ``_IndexPlan`` arrays -- a plan is built once per layer, never per
+shard) and shard ``data`` aliases the layer's storage, so a
 server wraps live training weights with zero copies.
 
 Requests flow through a :class:`~repro.serve.batching.MicroBatcher`
@@ -1159,8 +1159,8 @@ class ModelServer:
 
         Every shard matrix arrives with its serialized index plan
         (:mod:`repro.serve.bundle`), so cold-starting a many-layer sharded
-        server performs **no** index arithmetic -- for FC, lowered-conv,
-        and recurrent stages alike.  Keyword arguments are forwarded to
+        server builds **no** index plan -- for FC, lowered-conv, and
+        recurrent stages alike.  Keyword arguments are forwarded to
         the constructor (batching, config, ...).
         """
         from repro.serve.bundle import load_staged_bundle

@@ -248,12 +248,16 @@ class TestPlanSerialization:
                 arr[...] = 0
 
     def test_cold_plan_serializes_without_lazy_members(self):
+        """Only the forward serving plan is persisted, however warm the
+        source plan is; everything else stays lazy on the clone."""
         bpd = _random_bpd((13, 10), 4, seed=15)
-        blob = bpd.plan_bytes(warm=False)
+        cold = bpd.plan_bytes()
+        blob = (bpd._get_plan().warm(), bpd.plan_bytes())[1]
+        assert len(blob) == len(cold)
         clone = mod._IndexPlan.from_bytes(blob)
-        assert clone._t_arrays is None
-        assert clone._csr_structs == {}
-        assert len(blob) < len(bpd.plan_bytes(warm=True))
+        assert clone._t_arrays is None and clone._support_coords is None
+        assert clone._rows is None and clone._cols is None
+        assert set(clone._csr_structs) == {False}
 
     def test_from_plan_runs_products_without_rebuild(self, monkeypatch):
         bpd = _random_bpd((13, 10), 4, seed=16)
