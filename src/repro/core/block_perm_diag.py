@@ -80,17 +80,16 @@ then :func:`repro.core.backends.set_default_backend`, then the
 
 Plan serialization
 ------------------
-The forward serving plan -- structure, support mask and forward CSR
-skeleton -- round-trips through
-:meth:`~BlockPermutedDiagonalMatrix.plan_bytes` /
-:meth:`~BlockPermutedDiagonalMatrix.from_plan` (and
-:meth:`~BlockPermutedDiagonalMatrix.adopt_plan`), so deployment surfaces
-(``repro.hw.engine`` images, ``repro.nn.serialization`` checkpoints,
-``repro.core.storage``) reload matrices without building a plan or
-sorting anything.  The other members are left out on purpose: each is an
-``O(N)`` function of the structure, derived on first use, while persisting
-them would multiply the artifact size several times over the values.
-Deserialized skeletons are range-checked before any kernel sees them.
+The forward serving plan -- structure and forward CSR skeleton --
+round-trips through :meth:`~BlockPermutedDiagonalMatrix.plan_bytes` /
+:meth:`~BlockPermutedDiagonalMatrix.from_plan`, so engine images (and the
+serving bundles built from them) reload matrices without building a plan
+or sorting anything.  The other members are left out on purpose: the
+support mask and ``nnz`` are re-derived from the structure at load, and
+every index array is an ``O(N)`` function of the structure derived on
+first use, while persisting them would multiply the artifact size several
+times over the values.  Deserialized skeletons are range-checked before
+any kernel sees them.
 """
 
 from __future__ import annotations
@@ -117,11 +116,10 @@ __all__ = ["BlockPermutedDiagonalMatrix", "row_shard_bounds"]
 # the chunked transposed path for large products.
 _GATHER_ELEMENT_LIMIT = 50_000_000
 
-# Version tag of the _IndexPlan.to_bytes() wire format.  Version 2 added
-# the optional value-dtype tag (``vd``/``fp`` keys); version-1 blobs are
-# still accepted and read as untagged (float64-era) plans.
+# Version tag of the _IndexPlan.to_bytes() wire format (2 added the
+# optional value-dtype tag, ``vd``/``fp`` keys).  Only this version loads.
 _PLAN_FORMAT_VERSION = 2
-_PLAN_MIN_FORMAT_VERSION = 1
+
 
 def _resolve_value_dtype(value_dtype, fixed_point):
     """Canonical ``(name, format)`` for a constructor's value-dtype args.
@@ -202,6 +200,28 @@ def row_shard_bounds(num_block_rows: int, num_shards: int) -> list[tuple[int, in
     return bounds
 
 
+def _support_mask(
+    ks: np.ndarray, shape: tuple[int, int], p: int
+) -> tuple[np.ndarray, int]:
+    """Read-only ``(mb, nb, p)`` support mask and ``nnz`` of a structure.
+
+    Only the last block row (rows past ``m``) and the last block column
+    (columns past ``n``) can hold padding, so the full column map is never
+    materialized.
+    """
+    mb, nb = ks.shape
+    m, n = shape
+    support = np.ones((mb, nb, p), dtype=bool)
+    if m < mb * p:
+        support[-1, :, m - (mb - 1) * p:] = False
+    if n < nb * p:
+        support[:, -1, :] &= (
+            (np.arange(p) + ks[:, -1:]) % p < n - (nb - 1) * p
+        )
+    support.setflags(write=False)
+    return support, int(np.count_nonzero(support))
+
+
 class _IndexPlan:
     """Cached index arithmetic for one ``(ks, shape, p)`` structure.
 
@@ -223,15 +243,7 @@ class _IndexPlan:
 
     def __init__(self, ks: np.ndarray, shape: tuple[int, int], p: int) -> None:
         self._set_structure(ks, shape, p)
-        m, n = shape
-        if self.full_support:
-            support = np.ones((self.mb, self.nb, p), dtype=bool)
-        else:
-            row_ok = (np.arange(self.mb * p) < m).reshape(self.mb, 1, p)
-            support = row_ok & (self.cols < n)
-        support.setflags(write=False)
-        self.support = support
-        self.nnz = int(support.sum())
+        self.support, self.nnz = _support_mask(ks, shape, p)
 
     def _set_structure(
         self, ks: np.ndarray, shape: tuple[int, int], p: int
@@ -443,13 +455,14 @@ class _IndexPlan:
     def to_bytes(self, value_dtype: str | None = None, fixed_point=None) -> bytes:
         """Serialize the forward serving plan (an ``.npz`` payload).
 
-        The payload holds the structure ``(ks, shape, p)``, the support
-        mask and the forward CSR skeleton (built here if needed) -- all a
-        restored plan needs to serve ``matmat`` on the ``csr`` backend
-        without sorting or building anything.  Every other member is
-        derived in ``O(N)`` on first use by the restored plan, so
-        persisting it would only grow the artifact (it is several times
-        the size of the values).
+        The payload holds the structure ``(ks, shape, p)`` and the
+        forward CSR skeleton (built here if needed) -- all a restored plan
+        needs to serve ``matmat`` on the ``csr`` backend without sorting
+        or building anything.  The support mask and ``nnz`` are pure
+        functions of the structure, re-derived at load; every other
+        member is derived in ``O(N)`` on first use by the restored plan,
+        so persisting it would only grow the artifact (it is several
+        times the size of the values).
 
         ``value_dtype``/``fixed_point`` (normally supplied by
         :meth:`BlockPermutedDiagonalMatrix.plan_bytes`) tag the payload
@@ -461,9 +474,7 @@ class _IndexPlan:
             "version": np.int64(_PLAN_FORMAT_VERSION),
             "p": np.int64(self.p),
             "shape": np.asarray(self.shape, dtype=np.int64),
-            "nnz": np.int64(self.nnz),
             "ks": self.ks,
-            "support": self.support,
         }
         if value_dtype is not None:
             payload["vd"] = np.asarray(
@@ -484,42 +495,42 @@ class _IndexPlan:
     def from_bytes(cls, blob: bytes) -> "_IndexPlan":
         """Rebuild a plan from :meth:`to_bytes` without building one.
 
-        Reads the structure, the support mask and the forward CSR skeleton
-        (re-frozen read-only) and validates them (:meth:`_check`); any
-        other member a payload carries -- older writers persisted every
-        lazy member -- is ignored and derived on first use instead.
+        Reads the structure and the forward CSR skeleton (re-frozen
+        read-only), validates them (:meth:`_check`) and derives the
+        support mask and ``nnz`` from the structure.  Any other member a
+        payload carries -- older writers persisted the support mask, or
+        every lazy member -- is ignored; a missing member raises
+        ``ValueError``.
         """
         with np.load(io.BytesIO(blob)) as archive:
-            version = int(archive["version"])
-            if not _PLAN_MIN_FORMAT_VERSION <= version <= _PLAN_FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported index-plan format version {version} "
-                    f"(expected {_PLAN_MIN_FORMAT_VERSION}.."
-                    f"{_PLAN_FORMAT_VERSION})"
-                )
-            ks, support = archive["ks"], archive["support"]
-            for arr in (ks, support):
-                arr.setflags(write=False)
+            try:
+                version = int(archive["version"])
+                if version != _PLAN_FORMAT_VERSION:
+                    raise ValueError(
+                        f"unsupported index-plan format version {version} "
+                        f"(expected {_PLAN_FORMAT_VERSION})"
+                    )
+                ks = archive["ks"]
+                shape = tuple(int(v) for v in archive["shape"])
+                p = int(archive["p"])
+                struct = tuple(archive[f"csr0_{pos}"] for pos in range(3))
+            except KeyError as exc:
+                raise ValueError(f"index plan lacks member {exc}") from None
             plan = cls.__new__(cls)
-            plan._set_structure(
-                ks, tuple(int(v) for v in archive["shape"]), int(archive["p"])
-            )
-            plan.support = support
-            plan.nnz = int(archive["nnz"])
+            plan._set_structure(ks, shape, p)
             if "vd" in archive.files:
                 plan.value_dtype_hint = str(archive["vd"])
             if "fp" in archive.files:
                 plan.fixed_point_hint = tuple(int(v) for v in archive["fp"])
-            if "csr0_0" in archive.files:
-                struct = tuple(archive[f"csr0_{pos}"] for pos in range(3))
-                for arr in struct:
-                    arr.setflags(write=False)
-                plan._csr_structs[False] = struct
+        for arr in (ks, *struct):
+            arr.setflags(write=False)
+        plan._csr_structs[False] = struct
         plan._check()
         return plan
 
     def _check(self) -> None:
-        """Vectorised ``O(nnz)`` structural checks of a deserialized plan.
+        """Vectorised ``O(nnz)`` structural checks of a deserialized plan,
+        deriving its support mask and ``nnz`` once the structure passes.
 
         The forward skeleton feeds scipy's unchecked C kernels, so an
         out-of-range entry in a corrupted artifact would crash the process
@@ -537,18 +548,7 @@ class _IndexPlan:
                 f"plan structure (shape={self.shape}, p={p}, "
                 f"ks {self.ks.dtype} {self.ks.shape}) is inconsistent"
             )
-        if (
-            self.support.dtype != bool
-            or self.support.shape != (mb, nb, p)
-            or int(self.support.sum()) != self.nnz
-        ):
-            raise ValueError(
-                f"plan support mask ({self.support.dtype} "
-                f"{self.support.shape}) does not match its structure "
-                f"(nnz={self.nnz})"
-            )
-        if False not in self._csr_structs:
-            return
+        self.support, self.nnz = _support_mask(self.ks, self.shape, p)
         indptr, indices, perm = self._csr_structs[False]
         if any(
             arr.ndim != 1 or arr.dtype.kind not in "iu"
@@ -967,43 +967,15 @@ class BlockPermutedDiagonalMatrix:
         """Serialized forward serving plan (see :meth:`_IndexPlan.to_bytes`).
 
         Persist this next to the packed values and rebuild with
-        :meth:`from_plan` (or reattach with :meth:`adopt_plan`) to skip the
-        plan build and the CSR skeleton at load time.  The blob is tagged
-        with this matrix's value dtype (and fixed-point format, if any) so
-        :meth:`from_plan` restores the persisted precision by default.
+        :meth:`from_plan` to skip the plan build and the CSR skeleton at
+        load time.  The blob is tagged with this matrix's value dtype (and
+        fixed-point format, if any) so :meth:`from_plan` restores the
+        persisted precision by default.
         """
         return self._get_plan().to_bytes(
             value_dtype=self._value_dtype,
             fixed_point=self._fixed_point,
         )
-
-    def adopt_plan(
-        self, plan: "_IndexPlan | bytes"
-    ) -> "BlockPermutedDiagonalMatrix":
-        """Attach a precomputed (e.g. deserialized) index plan.
-
-        The plan must describe exactly this matrix's structure
-        ``(ks, shape, p)``; a mismatch raises ``ValueError`` rather than
-        silently corrupting products.
-
-        Returns:
-            ``self``, for chaining.
-        """
-        if isinstance(plan, (bytes, bytearray, memoryview)):
-            plan = _IndexPlan.from_bytes(plan)
-        if (
-            plan.p != self.p
-            or plan.shape != self._shape
-            or plan.ks.shape != self._ks.shape
-            or not np.array_equal(plan.ks, self._ks)
-        ):
-            raise ValueError(
-                f"plan structure (p={plan.p}, shape={plan.shape}) does not "
-                f"match matrix (p={self.p}, shape={self._shape})"
-            )
-        self._plan = plan
-        self._csr_cache = {}
-        return self
 
     @classmethod
     def from_plan(
@@ -1023,7 +995,7 @@ class BlockPermutedDiagonalMatrix:
         ``O(N)`` on first use.  ``data`` follows the aliasing contract.
 
         The value dtype is resolved in order: the explicit arguments, the
-        dtype tag a version-2 plan blob carries (what
+        dtype tag the plan blob carries (what
         :meth:`plan_bytes` recorded), then the dtype of ``data`` itself.
         Untagged ``int16`` data is ambiguous -- codes are meaningless
         without their format -- and is rejected rather than guessed.

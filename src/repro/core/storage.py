@@ -109,38 +109,20 @@ class StorageReport:
         )
 
 
-def save_bpd(
-    path: str,
-    matrix: BlockPermutedDiagonalMatrix,
-    include_plan: bool = False,
-) -> None:
-    """Serialize a block-PD matrix to ``.npz`` (packed values + metadata).
-
-    With ``include_plan`` the forward serving plan rides along, so
-    :func:`load_bpd` rebuilds the matrix via
-    :meth:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix.from_plan`
-    without building a plan.
-    """
+def save_bpd(path: str, matrix: BlockPermutedDiagonalMatrix) -> None:
+    """Serialize a block-PD matrix to ``.npz`` (packed values + metadata)."""
     payload = {
         "q": matrix.to_q(),
         "ks": np.asarray(matrix.ks),
         "p": np.int64(matrix.p),
         "shape": np.asarray(matrix.shape, dtype=np.int64),
     }
-    if include_plan:
-        payload["plan"] = np.frombuffer(matrix.plan_bytes(), dtype=np.uint8)
     np.savez_compressed(path, **payload)
 
 
 def load_bpd(path: str) -> BlockPermutedDiagonalMatrix:
-    """Load a matrix produced by :func:`save_bpd` (reusing any saved plan)."""
+    """Load a matrix produced by :func:`save_bpd`."""
     with np.load(path) as archive:
-        if "plan" in archive.files:
-            mb, nb = archive["ks"].shape
-            return BlockPermutedDiagonalMatrix.from_plan(
-                archive["plan"].tobytes(),
-                archive["q"].reshape(mb, nb, int(archive["p"])),
-            )
         shape = tuple(int(v) for v in archive["shape"])
         return BlockPermutedDiagonalMatrix.from_q(
             archive["q"], shape, int(archive["p"]), archive["ks"]

@@ -26,11 +26,11 @@ runtime.  Inside :func:`sanitize`:
   ``_ensure_writable`` and restore it even on exceptions.
 * ``_get_plan`` calls are counted, distinguishing first builds from
   rebuilds; :meth:`Sanitizer.assert_no_plan_rebuild` turns rebuilds into
-  a :class:`PlanRebuildError`.  Matrices loaded through ``from_plan`` /
-  ``adopt_plan`` (engine images, bundles) never count as builds at all,
-  which is exactly what a "zero plan builds at load time" test wants to
-  assert (members a persisted plan lacks are derived on the plan itself,
-  which is not a build).
+  a :class:`PlanRebuildError`.  Matrices loaded through ``from_plan``
+  (engine images, bundles) never count as builds at all, which is
+  exactly what a "zero plan builds at load time" test wants to assert
+  (the support mask and members a persisted plan lacks are derived on
+  the plan itself, which is not a build).
 
 Activation: ``with sanitize() as s: ...`` in code/tests, or export
 ``REPRO_SANITIZE=1`` and the test suite's root conftest wraps every test

@@ -36,7 +36,6 @@ from repro.core.backends import (
 )
 from repro.hw.config import EngineConfig
 from repro.hw.energy import AreaPowerModel
-from repro.hw.fifo import FIFO
 from repro.hw.perf import PerformanceReport, equivalent_dense_ops
 from repro.hw.scheduler import cycles_per_column
 from repro.hw.sram import SRAMBank
@@ -55,9 +54,8 @@ __all__ = [
 ]
 
 # v2 added per-layer value-dtype tags (``layer{i}_value_dtype`` /
-# ``layer{i}_fixed_point``); v1 images load as float64 layers.
+# ``layer{i}_fixed_point``).  Only this version loads.
 _IMAGE_FORMAT_VERSION = 2
-_IMAGE_MIN_FORMAT_VERSION = 1
 
 
 class EngineImageBackendError(BackendUnavailableError):
@@ -81,8 +79,8 @@ def export_engine_image(
     layer's storage dtype: float32 values or int16 fixed-point codes ride
     through untouched), its value-dtype tag, the structure
     ``(ks, shape, p)``, the ActU mode, and the **forward serving plan**
-    (:meth:`~repro.core.BlockPermutedDiagonalMatrix.plan_bytes`: support
-    mask plus forward CSR skeleton).  :func:`load_engine_image` then
+    (:meth:`~repro.core.BlockPermutedDiagonalMatrix.plan_bytes`: the
+    forward CSR skeleton).  :func:`load_engine_image` then
     rebuilds the matrices via
     :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_plan` -- the
     deployment path pays deserialization only, never a plan build or a
@@ -141,92 +139,95 @@ def load_engine_image(
         ``(matrix, activation)`` pairs ready for
         :meth:`PermDNNEngine.run_network`; every matrix carries its
         deserialized index plan, so no plan is built, and its exported
-        value dtype (v1 images load as float64).
+        value dtype.
 
     Raises:
-        ValueError: a layer's plan fails its structural checks (e.g. an
+        ValueError: the image is not of the current version, lacks a
+            member, or a layer's plan fails its structural checks (e.g. an
             out-of-range CSR index in a corrupted file); the message names
-            the file and the slot.
+            the file (and the slot, for a plan).
     """
     if missing_backend not in ("error", "fallback"):
         raise ValueError(
             f"missing_backend must be 'error' or 'fallback', "
             f"got {missing_backend!r}"
         )
-    layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]] = []
     with np.load(path) as archive:
-        version = int(archive["image_version"])
-        if not _IMAGE_MIN_FORMAT_VERSION <= version <= _IMAGE_FORMAT_VERSION:
+        try:
+            return _read_image(archive, path, missing_backend)
+        except KeyError as exc:
             raise ValueError(
-                f"unsupported engine-image version {version} (supported: "
-                f"{_IMAGE_MIN_FORMAT_VERSION}..{_IMAGE_FORMAT_VERSION})"
-            )
-        for idx in range(int(archive["num_layers"])):
-            ks = archive[f"layer{idx}_ks"]
-            p = int(archive[f"layer{idx}_p"])
-            mb, nb = ks.shape
-            dtype_key = f"layer{idx}_value_dtype"
-            if dtype_key in archive.files:
-                value_dtype = str(archive[dtype_key])
-                fmt_bits = archive[f"layer{idx}_fixed_point"]
-                fixed_point = (
+                f"engine image {path} lacks member {exc}"
+            ) from None
+
+
+def _read_image(
+    archive, path, missing_backend: str
+) -> list[tuple[BlockPermutedDiagonalMatrix, str | None]]:
+    """The layers of an open :func:`export_engine_image` archive."""
+    version = int(archive["image_version"])
+    if version != _IMAGE_FORMAT_VERSION:
+        raise ValueError(
+            f"engine image {path}: unsupported version {version} "
+            f"(supported: {_IMAGE_FORMAT_VERSION})"
+        )
+    layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]] = []
+    for idx in range(int(archive["num_layers"])):
+        ks = archive[f"layer{idx}_ks"]
+        p = int(archive[f"layer{idx}_p"])
+        mb, nb = ks.shape
+        fmt_bits = archive[f"layer{idx}_fixed_point"]
+        try:
+            matrix = BlockPermutedDiagonalMatrix.from_plan(
+                archive[f"layer{idx}_plan"].tobytes(),
+                archive[f"layer{idx}_q"].reshape(mb, nb, p),
+                value_dtype=str(archive[f"layer{idx}_value_dtype"]),
+                fixed_point=(
                     FixedPointFormat(*(int(v) for v in fmt_bits))
                     if fmt_bits.size
                     else None
-                )
-            else:  # v1 image: values were always float64
-                value_dtype, fixed_point = "float64", None
-            try:
-                matrix = BlockPermutedDiagonalMatrix.from_plan(
-                    archive[f"layer{idx}_plan"].tobytes(),
-                    archive[f"layer{idx}_q"].reshape(mb, nb, p),
-                    value_dtype=value_dtype,
-                    fixed_point=fixed_point,
-                )
-            except ValueError as exc:
-                raise ValueError(
-                    f"engine image {path}, slot {idx}: {exc}"
-                ) from exc
-            # Cross-check the plan against the image's own metadata so a
-            # corrupted or hand-edited archive fails loudly here.
-            shape = tuple(int(v) for v in archive[f"layer{idx}_shape"])
-            if (
-                matrix.shape != shape
-                or matrix.p != p
-                or not np.array_equal(matrix.ks, ks)
-            ):
-                raise ValueError(
-                    f"layer {idx}: image metadata (shape={shape}, p={p}) "
-                    f"does not match its serialized plan "
-                    f"(shape={matrix.shape}, p={matrix.p})"
-                )
-            backend_key = f"layer{idx}_backend"
-            stored = (
-                str(archive[backend_key]) if backend_key in archive.files else ""
+                ),
             )
-            if stored:
-                try:
-                    get_backend(validate_backend_name(stored))
-                except (UnknownBackendError, BackendUnavailableError) as exc:
-                    if missing_backend == "fallback":
-                        warnings.warn(
-                            f"layer {idx}: stored kernel backend {stored!r} "
-                            f"is unavailable in this process; falling back "
-                            f"to the default backend ({exc})",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                    else:
-                        raise EngineImageBackendError(
-                            f"layer {idx} of engine image pins kernel "
-                            f"backend {stored!r}, which is unavailable here; "
-                            f"pass missing_backend='fallback' to load on "
-                            f"the default backend instead"
-                        ) from exc
+        except ValueError as exc:
+            raise ValueError(f"engine image {path}, slot {idx}: {exc}") from exc
+        # Cross-check the plan against the image's own metadata so a
+        # corrupted or hand-edited archive fails loudly here.
+        shape = tuple(int(v) for v in archive[f"layer{idx}_shape"])
+        if (
+            matrix.shape != shape
+            or matrix.p != p
+            or not np.array_equal(matrix.ks, ks)
+        ):
+            raise ValueError(
+                f"layer {idx}: image metadata (shape={shape}, p={p}) "
+                f"does not match its serialized plan "
+                f"(shape={matrix.shape}, p={matrix.p})"
+            )
+        backend_key = f"layer{idx}_backend"
+        stored = str(archive[backend_key]) if backend_key in archive.files else ""
+        if stored:
+            try:
+                get_backend(validate_backend_name(stored))
+            except (UnknownBackendError, BackendUnavailableError) as exc:
+                if missing_backend == "fallback":
+                    warnings.warn(
+                        f"layer {idx}: stored kernel backend {stored!r} "
+                        f"is unavailable in this process; falling back "
+                        f"to the default backend ({exc})",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
                 else:
-                    matrix.set_backend(stored)
-            activation = str(archive[f"layer{idx}_activation"]) or None
-            layers.append((matrix, activation))
+                    raise EngineImageBackendError(
+                        f"layer {idx} of engine image pins kernel "
+                        f"backend {stored!r}, which is unavailable here; "
+                        f"pass missing_backend='fallback' to load on "
+                        f"the default backend instead"
+                    ) from exc
+            else:
+                matrix.set_backend(stored)
+        activation = str(archive[f"layer{idx}_activation"]) or None
+        layers.append((matrix, activation))
     return layers
 
 
@@ -376,11 +377,6 @@ class PermDNNEngine:
             matrix.shape[0] / config.activations_written_per_cycle
         )
         total_cycles = config.pipeline_stages + compute_cycles + writeback_cycles
-
-        # exercise the FIFO model: every non-zero activation flows through
-        fifo = FIFO(config.act_fifo_depth)
-        for idx in range(min(nnz_x, config.act_fifo_depth)):
-            fifo.push(idx)
 
         # average non-zeros per matrix column; exact when p divides (m, n)
         macs = int(round(nnz_x * matrix.nnz / matrix.shape[1]))
@@ -534,17 +530,8 @@ class PermDNNEngine:
         )
         total = config.pipeline_stages + compute_total + batch * writeback
         # Same rounding as run_fc_layer, sample by sample (round-half-even
-        # on the exact per-sample expression, then summed).
-        macs = sum(
-            int(round(int(nnz_x) * matrix.nnz / matrix.shape[1]))
-            for nnz_x in nnz_per
-        )
-
-        # exercise the FIFO model exactly as the per-sample path does
-        for nnz_x in nnz_per:
-            fifo = FIFO(config.act_fifo_depth)
-            for idx in range(min(int(nnz_x), config.act_fifo_depth)):
-                fifo.push(idx)
+        # on the per-sample expression, then summed).
+        macs = int(np.rint(nnz_per * matrix.nnz / matrix.shape[1]).sum())
 
         # SRAM counters are additive, so the batch sum lands the same
         # totals as B per-sample calls.

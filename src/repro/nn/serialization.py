@@ -1,15 +1,11 @@
-"""Whole-model checkpointing to ``.npz``.
+"""Whole-model checkpointing to ``.npz``, and the model walker.
 
-Checkpoints hold the flat parameter state dict; with ``include_plans=True``
-they additionally embed the serialized index plan of every PD layer
-(:meth:`~repro.core.BlockPermutedDiagonalMatrix.plan_bytes`), so
-:func:`load_model` reattaches the forward serving plan instead of
-building it layer by layer on the first product call.
+Checkpoints hold the flat parameter state dict and nothing else; the
+deployable artifact that cold-starts without a plan build is the staged
+serving bundle (:mod:`repro.serve.bundle`).
 
-:func:`model_engine_layers` flattens a trained FC model into the
-``(matrix, activation)`` pairs the hardware surfaces consume
-(:meth:`~repro.hw.PermDNNEngine.run_network`, engine images, and the
-sharded serving bundles of :mod:`repro.serve.bundle`).
+:func:`model_stage_specs` flattens a trained model into the FC, conv and
+recurrent stage specs that the serving runtime and its bundles consume.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ __all__ = [
     "RecurrentStageSpec",
     "UnsupportedLayerError",
     "load_model",
-    "model_engine_layers",
     "model_stage_specs",
     "save_model",
 ]
@@ -60,103 +55,6 @@ class UnsupportedLayerError(ValueError):
         super().__init__(
             f"module {index} ({self.layer_type}) {detail}"
         )
-
-# Checkpoint keys carrying serialized index plans (one per PD matrix, in
-# module-discovery order); everything else is parameter state.
-_PLAN_KEY_PREFIX = "pd_plan_"
-
-
-def _pd_matrices(model: Module) -> list[BlockPermutedDiagonalMatrix]:
-    """Structured matrices of the model's PD layers, in discovery order.
-
-    Covers both FC layers (their `_matrix`) and PD convolutions (the
-    channel-plane matrix of their `_tensor`).  Discovery order is
-    deterministic for a fixed architecture, which is what lets plan keys
-    pair back up with their layers at load time (the same state-dict
-    discipline the parameters follow).
-    """
-    matrices = []
-    for module in model.modules():
-        matrix = getattr(module, "_matrix", None)
-        if isinstance(matrix, BlockPermutedDiagonalMatrix):
-            matrices.append(matrix)
-        tensor = getattr(module, "_tensor", None)
-        if isinstance(tensor, BlockPermDiagTensor4D):
-            matrices.append(tensor.plane)
-    return matrices
-
-
-def model_engine_layers(
-    model: Module,
-    value_dtype: str | None = None,
-    fixed_point=None,
-) -> list[tuple[BlockPermutedDiagonalMatrix, str | None]]:
-    """Flatten an FC model into engine-servable ``(matrix, activation)`` pairs.
-
-    Walks the model in module order: every :class:`PermDiagLinear`
-    contributes its structured matrix; a following ``ReLU``/``Tanh``
-    becomes that layer's ActU mode; ``Dropout``/``Flatten`` (inference
-    no-ops) and containers are skipped.  Anything else -- dense layers,
-    convolutions, activations the ActU does not implement, or a PD layer
-    carrying a non-zero bias (the engine computes ``W x`` only) -- raises
-    :class:`UnsupportedLayerError` (a ``ValueError`` subclass naming the
-    offending module's class and index) rather than silently serving the
-    wrong function.
-
-    With ``value_dtype=None`` (default) the returned matrices are the
-    layers' **live** structured matrices (aliased storage, cached plans),
-    so exporting or serving them reflects in-place weight updates with
-    zero copies.  Passing ``value_dtype`` (``"float32"`` / ``"int16"``,
-    optionally with a ``fixed_point`` format) instead converts each layer
-    through
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.with_value_dtype` --
-    quantize-at-export: the serving copies hold reduced-precision storage
-    (still sharing the training matrices' index plans) while training
-    itself stays float64.
-    """
-    layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]] = []
-    pending_activation = False  # True after a PD layer, before an activation
-    for index, module in enumerate(model.modules()):
-        if isinstance(module, Sequential):
-            continue
-        if isinstance(module, PermDiagLinear):
-            if module.bias is not None and np.any(module.bias.value):
-                raise UnsupportedLayerError(
-                    index, module,
-                    "carries a non-zero bias; the engine's FC datapath "
-                    "computes W x only",
-                )
-            layers.append((module.matrix, None))
-            pending_activation = True
-        elif isinstance(module, (ReLU, Tanh)):
-            if not pending_activation:
-                raise UnsupportedLayerError(
-                    index, module,
-                    "is an activation that does not follow a PD FC layer",
-                )
-            matrix, _ = layers[-1]
-            layers[-1] = (matrix, "relu" if isinstance(module, ReLU) else "tanh")
-            pending_activation = False
-        elif isinstance(module, (Dropout, Flatten)):
-            continue  # inference no-ops
-        else:
-            raise UnsupportedLayerError(
-                index, module,
-                "is not servable on the PD FC engine (expected "
-                "PermDiagLinear + ReLU/Tanh stacks)",
-            )
-    if not layers:
-        raise ValueError("model contains no PermDiagLinear layers")
-    if value_dtype is not None:
-        layers = [
-            (matrix.with_value_dtype(value_dtype, fixed_point=fixed_point), act)
-            for matrix, act in layers
-        ]
-    elif fixed_point is not None:
-        raise ValueError(
-            "fixed_point requires value_dtype='int16' (got value_dtype=None)"
-        )
-    return layers
 
 
 @dataclass
@@ -196,9 +94,13 @@ class RecurrentStageSpec:
 def model_stage_specs(model: Module) -> list:
     """Flatten a model into serving-stage specs: FC, conv, and recurrent.
 
-    The staged superset of :func:`model_engine_layers`: the same walk
-    rules for PD FC layers, activations, ``Dropout``/``Flatten``, plus
+    Walks the model in module order:
 
+    - :class:`~repro.nn.PermDiagLinear` (zero bias -- the engine computes
+      ``W x`` only) becomes an :class:`FCStageSpec`; a following
+      ``ReLU``/``Tanh`` becomes its ActU mode;
+    - ``Dropout``/``Flatten`` (inference no-ops) and containers are
+      skipped;
     - :class:`~repro.nn.PermDiagConv2D` (zero bias) becomes a
       :class:`ConvStageSpec`; a following ``ReLU``/``Tanh`` attaches as
       its activation and a following non-overlapping square
@@ -298,7 +200,7 @@ def model_stage_specs(model: Module) -> list:
     return specs
 
 
-def save_model(path: str, model: Module, include_plans: bool = False) -> None:
+def save_model(path: str, model: Module) -> None:
     """Write a model's parameters to an ``.npz`` checkpoint.
 
     Layer structure is not serialized -- loading requires rebuilding the
@@ -309,26 +211,12 @@ def save_model(path: str, model: Module, include_plans: bool = False) -> None:
     Args:
         path: target checkpoint path.
         model: the model to snapshot.
-        include_plans: also embed each PD layer's forward serving plan,
-            so :func:`load_model` restores it without a plan build
-            (bigger file, faster first step after load).
     """
-    state = model.state_dict()
-    if include_plans:
-        for idx, matrix in enumerate(_pd_matrices(model)):
-            state[f"{_PLAN_KEY_PREFIX}{idx}"] = np.frombuffer(
-                matrix.plan_bytes(), dtype=np.uint8
-            )
-    np.savez_compressed(path, **state)
+    np.savez_compressed(path, **model.state_dict())
 
 
 def load_model(path: str, model: Module) -> Module:
     """Load an ``.npz`` checkpoint into an already-constructed model.
-
-    Embedded index plans (see :func:`save_model`) are reattached to the
-    matching PD layers via
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.adopt_plan`, which
-    validates the structure and raises ``ValueError`` on mismatch.
 
     Args:
         path: checkpoint produced by :func:`save_model`.
@@ -338,20 +226,6 @@ def load_model(path: str, model: Module) -> Module:
         The same model instance, for chaining.
     """
     with np.load(path) as archive:
-        params = {
-            key: archive[key]
-            for key in archive.files
-            if not key.startswith(_PLAN_KEY_PREFIX)
-        }
-        plans = {
-            key: archive[key].tobytes()
-            for key in archive.files
-            if key.startswith(_PLAN_KEY_PREFIX)
-        }
+        params = {key: archive[key] for key in archive.files}
     model.load_state_dict(params)
-    if plans:
-        for idx, matrix in enumerate(_pd_matrices(model)):
-            blob = plans.get(f"{_PLAN_KEY_PREFIX}{idx}")
-            if blob is not None:
-                matrix.adopt_plan(blob)
     return model

@@ -23,9 +23,9 @@ pipeline between the per-layer shard arrays.
 - :mod:`repro.serve.traffic` -- seeded open-loop arrival processes
   (deterministic / Poisson / bursty / diurnal) for tail-latency
   benchmarking.
-- :func:`export_sharded_bundle` / :func:`load_sharded_bundle` -- one
-  engine image per shard plus a manifest; cold starts never build an
-  index plan.
+- :func:`export_model_bundle` / :func:`export_staged_bundle` /
+  :func:`load_staged_bundle` -- one engine image per shard plus a
+  manifest; cold starts never build an index plan.
 - :func:`run_serving_benchmark` / :func:`run_open_loop_sweep` -- the
   closed-loop and open-loop measurements behind ``repro serve-bench``
   and ``benchmarks/bench_serving.py``, including
@@ -59,9 +59,7 @@ from repro.serve.bench import (
 )
 from repro.serve.bundle import (
     export_model_bundle,
-    export_sharded_bundle,
     export_staged_bundle,
-    load_sharded_bundle,
     load_staged_bundle,
 )
 from repro.nn.serialization import UnsupportedLayerError
@@ -119,13 +117,11 @@ __all__ = [
     "build_stages",
     "build_workload",
     "export_model_bundle",
-    "export_sharded_bundle",
     "export_staged_bundle",
     "format_mixed_report",
     "format_open_loop_report",
     "format_report",
     "format_workload_matrix",
-    "load_sharded_bundle",
     "load_staged_bundle",
     "make_requests",
     "make_arrival_process",

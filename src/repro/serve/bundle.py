@@ -1,28 +1,29 @@
-"""Sharded engine-image bundles: one engine image per shard.
+"""Staged engine-image bundles: the one deployable artifact.
 
 A bundle is a directory holding ``shard<K>.npz`` engine images (the exact
 :func:`~repro.hw.export_engine_image` format -- each contains shard ``K``'s
 row slice of **every** served stage, serialized index plans included) plus
-a ``manifest.json`` describing the pipeline.  Since v3 each manifest layer
-entry carries a ``stage_kind`` tag (``"fc"`` / ``"conv"`` /
-``"recurrent"``) and a ``slots`` count -- the number of consecutive image
-entries the stage occupies per shard (1 for FC, ``kh*kw`` offset matrices
-for a lowered conv, 8 gate matrices for an LSTM cell step).  v1/v2
-manifests predate the tag and load as single-slot FC stages, so old
-FC-only bundles keep cold-starting unchanged.
+a ``manifest.json`` describing the pipeline.  Each manifest layer entry
+carries a ``stage_kind`` tag (``"fc"`` / ``"conv"`` / ``"recurrent"``) and
+a ``slots`` count -- the number of consecutive image entries the stage
+occupies per shard (1 for FC, ``kh*kw`` offset matrices for a lowered
+conv, 8 gate matrices for an LSTM cell step).
 
 Stages that need non-matrix state (the recurrent stage's gate biases)
 store it in per-stage ``stage<L>_aux.npz`` sidecars referenced from the
-manifest.
+manifest.  Every file name is fixed by its index; a manifest listing any
+other name (an absolute path, ``../``) is rejected, so a bundle never
+reads outside its directory.
 
 Loading a bundle cold-starts a whole sharded server without building an
 index plan or sorting anything: every shard matrix is rebuilt through
 :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_plan` around its
-persisted forward serving plan (support mask and forward CSR skeleton),
-which is range-checked at load.  Images are stored, not deflated, and
-hold no other index array -- the rest is derived on first use -- so a
-bundle is little bigger than its values.  Bundles from older writers
-(deflated, every plan member persisted) load through the same reader.
+persisted forward CSR skeleton, which is range-checked at load.  Images
+are stored, not deflated, and hold no other index array -- the support
+mask is derived from the structure and the rest on first use -- so a
+bundle is little bigger than its values.  Bundles from the older deflating
+writer (every plan member persisted) load through the same reader, which
+ignores the extra members.  Only the current format versions load.
 """
 
 from __future__ import annotations
@@ -37,19 +38,15 @@ from repro.hw.engine import export_engine_image, load_engine_image
 
 __all__ = [
     "export_model_bundle",
-    "export_sharded_bundle",
     "export_staged_bundle",
-    "load_sharded_bundle",
     "load_staged_bundle",
 ]
 
 # v2 added per-layer ``value_dtype`` / ``fixed_point`` manifest entries
 # (cross-checked against the shard images at load); v3 added the
-# ``stage_kind`` / ``slots`` tags plus conv and recurrent stages.  v1
-# bundles predate reduced-precision storage and always hold float64
-# layers; v1/v2 entries have no tag and load as FC.
+# ``stage_kind`` / ``slots`` tags plus conv and recurrent stages.  Only
+# this version loads.
 _BUNDLE_FORMAT_VERSION = 3
-_BUNDLE_MIN_FORMAT_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
 
 
@@ -105,38 +102,6 @@ def export_staged_bundle(directory, stages: list) -> None:
     with open(directory / _MANIFEST_NAME, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
-
-
-def export_sharded_bundle(
-    directory,
-    layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]],
-    num_shards: int,
-) -> None:
-    """Persist a multi-layer FC model as ``num_shards`` engine images.
-
-    Every layer is row-sharded with
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shards` semantics
-    (balanced contiguous block-row cuts) and shard ``K`` of every layer
-    lands in ``shard<K>.npz``; plan slicing means export never builds a
-    plan per shard either.
-
-    Args:
-        directory: bundle directory (created if missing).
-        layers: ``(matrix, activation)`` pairs, input to output.
-        num_shards: shard count; every layer must have at least this many
-            block rows.
-    """
-    if not layers:
-        raise ValueError("cannot export an empty layer stack")
-    from repro.serve.server import ShardedLayer
-
-    export_staged_bundle(
-        directory,
-        [
-            ShardedLayer(matrix, activation, num_shards)
-            for matrix, activation in layers
-        ],
-    )
 
 
 def export_model_bundle(
@@ -217,11 +182,14 @@ def load_staged_bundle(
     cross-checked against the manifest so a truncated or mixed-up bundle
     fails loudly.  A plan whose forward CSR skeleton fails its range
     checks raises ``ValueError`` naming the shard file and slot, before
-    any kernel can read it.  v1/v2 manifests (no ``stage_kind``) load
-    every entry as a single-slot FC stage.
+    any kernel can read it.  A manifest of another version, one lacking
+    a field, or one naming files other than the exporter's fixed
+    ``shard<K>.npz`` / ``stage<L>_aux.npz`` raises ``ValueError`` naming
+    the manifest.
 
     Args:
-        directory: bundle directory written by one of the exporters.
+        directory: bundle directory written by :func:`export_staged_bundle`
+            (or :func:`export_model_bundle`).
         missing_backend: forwarded to
             :func:`~repro.hw.load_engine_image` (``"error"`` or
             ``"fallback"``) for layers pinned to an unavailable backend.
@@ -231,13 +199,6 @@ def load_staged_bundle(
         :class:`~repro.serve.server.ServedStage` objects ready to hand to
         :class:`~repro.serve.server.ModelServer`.
     """
-    from repro.serve.server import (
-        LoweredConvStage,
-        RecurrentStage,
-        ShardedLayer,
-        _GATES,
-    )
-
     directory = Path(directory)
     manifest_path = directory / _MANIFEST_NAME
     if not manifest_path.is_file():
@@ -246,11 +207,32 @@ def load_staged_bundle(
         )
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    version = int(manifest.get("bundle_version", -1))
-    if not _BUNDLE_MIN_FORMAT_VERSION <= version <= _BUNDLE_FORMAT_VERSION:
+    try:
+        stages = _load_stages(manifest_path, manifest, missing_backend)
+    except KeyError as exc:
         raise ValueError(
-            f"unsupported bundle version {version} (supported: "
-            f"{_BUNDLE_MIN_FORMAT_VERSION}..{_BUNDLE_FORMAT_VERSION})"
+            f"bundle manifest {manifest_path} lacks field {exc}"
+        ) from None
+    return stages, manifest
+
+
+def _load_stages(
+    manifest_path: Path, manifest: dict, missing_backend: str
+) -> list:
+    """The stages of a parsed manifest (missing fields raise ``KeyError``)."""
+    from repro.serve.server import (
+        LoweredConvStage,
+        RecurrentStage,
+        ShardedLayer,
+        _GATES,
+    )
+
+    directory = manifest_path.parent
+    version = int(manifest["bundle_version"])
+    if version != _BUNDLE_FORMAT_VERSION:
+        raise ValueError(
+            f"bundle manifest {manifest_path}: unsupported bundle version "
+            f"{version} (supported: {_BUNDLE_FORMAT_VERSION})"
         )
     num_shards = int(manifest["num_shards"])
     num_layers = int(manifest["num_layers"])
@@ -259,17 +241,21 @@ def load_staged_bundle(
         raise ValueError(
             f"manifest lists {len(specs)} layers, says {num_layers}"
         )
+    shard_files = [_shard_file(idx) for idx in range(num_shards)]
+    if manifest["shard_files"] != shard_files:
+        raise ValueError(
+            f"bundle manifest {manifest_path} lists shard files "
+            f"{manifest['shard_files']!r}, expected {shard_files!r}"
+        )
     shard_images = [
         load_engine_image(
             directory / shard_file, missing_backend=missing_backend
         )
-        for shard_file in manifest["shard_files"]
+        for shard_file in shard_files
     ]
-    slots_per_stage = [int(spec.get("slots", 1)) for spec in specs]
+    slots_per_stage = [int(spec["slots"]) for spec in specs]
     total_slots = sum(slots_per_stage)
-    if len(shard_images) != num_shards or any(
-        len(image) != total_slots for image in shard_images
-    ):
+    if any(len(image) != total_slots for image in shard_images):
         raise ValueError(
             f"bundle {directory} does not match its manifest "
             f"({num_shards} shards x {total_slots} image slots)"
@@ -277,16 +263,22 @@ def load_staged_bundle(
     stages = []
     cursor = 0
     for stage_idx, spec in enumerate(specs):
-        kind = spec.get("stage_kind", "fc")
+        kind = spec["stage_kind"]
+        aux_file = _aux_file(stage_idx) if kind == "recurrent" else None
+        if spec.get("aux_file") != aux_file:
+            raise ValueError(
+                f"bundle manifest {manifest_path}: layer {stage_idx} "
+                f"names aux file {spec.get('aux_file')!r}, expected "
+                f"{aux_file!r}"
+            )
         slots = slots_per_stage[stage_idx]
         activation = spec["activation"]
         p = int(spec["p"])
         m, n = (int(v) for v in spec["shape"])
-        # v1 manifests predate value dtypes: their images store float64.
-        value_dtype = spec.get("value_dtype", "float64")
+        value_dtype = spec["value_dtype"]
         fixed_point = (
             tuple(int(v) for v in spec["fixed_point"])
-            if spec.get("fixed_point") is not None
+            if spec["fixed_point"] is not None
             else None
         )
         bounds = spec["shard_block_bounds"]
@@ -350,13 +342,18 @@ def load_staged_bundle(
                     padding=int(spec["padding"]),
                     pool=(
                         int(spec["pool"])
-                        if spec.get("pool") is not None
+                        if spec["pool"] is not None
                         else None
                     ),
                 )
             )
         elif kind == "recurrent":
-            with np.load(directory / spec["aux_file"]) as aux:
+            aux_path = directory / aux_file
+            with np.load(aux_path) as aux:
+                if not {f"bias_{gate}" for gate in _GATES} <= set(aux.files):
+                    raise ValueError(
+                        f"bundle aux file {aux_path} lacks gate biases"
+                    )
                 biases = {gate: aux[f"bias_{gate}"] for gate in _GATES}
             stages.append(
                 RecurrentStage.from_shard_slots(
@@ -370,31 +367,4 @@ def load_staged_bundle(
             raise ValueError(
                 f"layer {stage_idx}: unknown stage_kind {kind!r}"
             )
-    return stages, manifest
-
-
-def load_sharded_bundle(
-    directory,
-    missing_backend: str = "error",
-) -> tuple[list[tuple[list[BlockPermutedDiagonalMatrix], str | None]], dict]:
-    """Reload an FC bundle: per layer, its shard matrices and activation.
-
-    The pre-v3 loader shape, kept for FC-only callers.  Bundles holding
-    conv or recurrent stages have no ``(shards, activation)`` form --
-    load those through :func:`load_staged_bundle`.
-
-    Returns:
-        ``(layers, manifest)`` where ``layers[l]`` is
-        ``(shard_matrices, activation)``.
-    """
-    from repro.serve.server import ShardedLayer
-
-    stages, manifest = load_staged_bundle(
-        directory, missing_backend=missing_backend
-    )
-    if any(not isinstance(stage, ShardedLayer) for stage in stages):
-        kinds = sorted({stage.stage_kind for stage in stages})
-        raise ValueError(
-            f"bundle holds non-FC stages {kinds}; use load_staged_bundle"
-        )
-    return [(stage.shards, stage.activation) for stage in stages], manifest
+    return stages

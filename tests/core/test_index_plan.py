@@ -60,6 +60,17 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             bpd._get_plan().flat_cols[...] = 0
 
+    @pytest.mark.parametrize(
+        "shape,p", [((8, 12), 4), ((7, 10), 4), ((30, 45), 4), ((11, 7), 3)]
+    )
+    def test_support_mask_is_the_in_bounds_slots(self, shape, p):
+        """The mask derived from the structure marks exactly the slots
+        whose global (row, col) lies inside the logical shape."""
+        plan = _random_bpd(shape, p, seed=6, scheme="random")._get_plan()
+        inside = (plan.rows < shape[0]) & (plan.cols < shape[1])
+        np.testing.assert_array_equal(plan.support, inside)
+        assert plan.nnz == int(inside.sum())
+
     def test_support_coordinates_match_dense_mask(self):
         bpd = _random_bpd((11, 7), 3, seed=5, scheme="random")
         rows, cols = bpd.support_coordinates()

@@ -77,13 +77,14 @@ class TestEngineImage:
         with pytest.raises(ValueError, match="does not match"):
             load_engine_image(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [999, 1])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         rng = np.random.default_rng(3)
         path = str(tmp_path / "image.npz")
         export_engine_image(path, _layers(rng))
         with np.load(path) as archive:
             payload = {key: archive[key] for key in archive.files}
-        payload["image_version"] = np.int64(999)
+        payload["image_version"] = np.int64(version)
         np.savez_compressed(path, **payload)
         with pytest.raises(ValueError, match="version"):
             load_engine_image(path)

@@ -1,4 +1,5 @@
-"""Engine images (format v2) persist per-layer value dtypes."""
+"""Engine images (format v2, the only one loaded) persist per-layer value
+dtypes."""
 
 import numpy as np
 import pytest
@@ -56,34 +57,25 @@ def test_image_round_trip_products_bit_match(tmp_path):
         np.testing.assert_array_equal(mat.matmat(x), orig.matmat(x))
 
 
-def test_v1_images_load_as_float64(tmp_path):
-    # Fabricate a v1 archive: same keys minus the dtype tags.
-    path = tmp_path / "v1.npz"
-    matrix = BlockPermutedDiagonalMatrix.random((32, 32), 8, rng=4)
-    payload = {
-        "image_version": np.int64(1),
-        "num_layers": np.int64(1),
-        "layer0_q": matrix.to_q(),
-        "layer0_ks": np.asarray(matrix.ks),
-        "layer0_p": np.int64(matrix.p),
-        "layer0_shape": np.asarray(matrix.shape, dtype=np.int64),
-        "layer0_activation": np.str_(""),
-        "layer0_backend": np.str_(""),
-        "layer0_plan": np.frombuffer(
-            matrix._get_plan().to_bytes(), dtype=np.uint8
-        ),
-    }
-    np.savez_compressed(path, **payload)
-    [(loaded, activation)] = load_engine_image(path)
-    assert activation is None
-    assert loaded.value_dtype == "float64"
-    np.testing.assert_array_equal(loaded.data, matrix.data)
-
-
 def test_future_image_version_rejected(tmp_path):
     path = tmp_path / "future.npz"
     np.savez_compressed(
         path, image_version=np.int64(99), num_layers=np.int64(0)
     )
     with pytest.raises(ValueError, match="version 99"):
+        load_engine_image(path)
+
+
+@pytest.mark.parametrize(
+    "member", ["layer0_value_dtype", "layer1_plan", "layer2_q"]
+)
+def test_missing_member_names_the_file(tmp_path, member):
+    path = tmp_path / "image.npz"
+    export_engine_image(path, _stack())
+    with np.load(path) as archive:
+        payload = {
+            key: archive[key] for key in archive.files if key != member
+        }
+    np.savez(path, **payload)
+    with pytest.raises(ValueError, match=rf"image\.npz.*{member}"):
         load_engine_image(path)

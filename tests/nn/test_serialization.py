@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import PermutationSpec
 from repro.nn import Linear, PermDiagLinear, ReLU, Sequential
 from repro.nn.serialization import load_model, save_model
 
@@ -58,102 +57,11 @@ class TestCheckpointing:
         assert np.all(dense[~pd.matrix.dense_mask()] == 0)
 
 
-class TestPlanCheckpointing:
-    def _model(self, seed=0):
-        return Sequential(
-            PermDiagLinear(16, 32, p=4, rng=seed),
-            ReLU(),
-            PermDiagLinear(32, 8, p=2, rng=seed + 1),
-        )
-
-    def test_include_plans_round_trip_preserves_outputs(self, tmp_path):
-        model = self._model(seed=0)
-        path = str(tmp_path / "ckpt.npz")
-        save_model(path, model, include_plans=True)
-        clone = self._model(seed=9)
-        load_model(path, clone)
-        x = np.random.default_rng(1).normal(size=(4, 16))
-        np.testing.assert_allclose(
-            clone.eval().forward(x), model.eval().forward(x)
-        )
-
-    def test_plans_reattach_without_recompute(self, tmp_path, monkeypatch):
-        import repro.core.block_perm_diag as mod
-
-        model = self._model(seed=2)
-        path = str(tmp_path / "ckpt.npz")
-        save_model(path, model, include_plans=True)
-        clone = self._model(seed=3)
-        old_plans = [clone[0].matrix._get_plan(), clone[2].matrix._get_plan()]
-
-        def boom(*args, **kwargs):
-            raise AssertionError("checkpoint load rebuilt an index plan")
-
-        monkeypatch.setattr(mod._IndexPlan, "__init__", boom)
-        load_model(path, clone)
-        for layer, old_plan in zip((clone[0], clone[2]), old_plans):
-            assert layer.matrix._get_plan() is not old_plan
-        x = np.random.default_rng(4).normal(size=(4, 16))
-        np.testing.assert_allclose(
-            clone.eval().forward(x), model.eval().forward(x)
-        )
-
-    def test_plan_free_checkpoints_still_load(self, tmp_path):
-        model = self._model(seed=5)
-        path = str(tmp_path / "ckpt.npz")
-        save_model(path, model)  # no plans embedded
-        clone = self._model(seed=6)
-        load_model(path, clone)
-        x = np.random.default_rng(7).normal(size=(2, 16))
-        np.testing.assert_allclose(
-            clone.eval().forward(x), model.eval().forward(x)
-        )
-
-    def test_conv_channel_plane_plans_included(self, tmp_path, monkeypatch):
-        """PD convolutions embed their channel-plane plan too -- loading a
-        mixed FC+CONV model must not rebuild any plan."""
-        import repro.core.block_perm_diag as mod
-        from repro.nn import PermDiagConv2D
-
-        def build(seed):
-            return Sequential(
-                PermDiagConv2D(8, 8, 3, p=4, rng=seed),
-                PermDiagLinear(16, 8, p=2, rng=seed + 1),
-            )
-
-        model = build(0)
-        path = str(tmp_path / "ckpt.npz")
-        save_model(path, model, include_plans=True)
-        clone = build(5)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("checkpoint load rebuilt an index plan")
-
-        monkeypatch.setattr(mod._IndexPlan, "__init__", boom)
-        load_model(path, clone)
-        np.testing.assert_array_equal(
-            clone[0].channel_mask, model[0].channel_mask
-        )
-
-    def test_plan_structure_mismatch_rejected(self, tmp_path):
-        model = Sequential(PermDiagLinear(16, 16, p=4, rng=0, bias=False))
-        path = str(tmp_path / "ckpt.npz")
-        save_model(path, model, include_plans=True)
-        wrong = Sequential(
-            PermDiagLinear(
-                16, 16, p=4, rng=1, bias=False,
-                spec=PermutationSpec(scheme="random", seed=3),
-            )
-        )
-        with pytest.raises(ValueError):
-            load_model(path, wrong)
-
-
 class TestUnsupportedLayerError:
     def test_dense_layer_message_pins_class_and_index(self):
         from repro.nn.serialization import (
             UnsupportedLayerError,
-            model_engine_layers,
+            model_stage_specs,
         )
 
         model = Sequential(
@@ -163,10 +71,11 @@ class TestUnsupportedLayerError:
         )
         with pytest.raises(
             UnsupportedLayerError,
-            match=r"^module 3 \(Linear\) is not servable on the PD FC "
-            r"engine \(expected PermDiagLinear \+ ReLU/Tanh stacks\)$",
+            match=r"^module 3 \(Linear\) is not servable \(expected "
+            r"PermDiagLinear, PermDiagConv2D \+ ReLU/Tanh/MaxPool2D, or PD "
+            r"LSTM stacks\)$",
         ) as excinfo:
-            model_engine_layers(model)
+            model_stage_specs(model)
         assert excinfo.value.index == 3
         assert excinfo.value.layer_type == "Linear"
 
@@ -180,7 +89,7 @@ class TestUnsupportedLayerError:
         from repro.nn import MaxPool2D
         from repro.nn.serialization import (
             UnsupportedLayerError,
-            model_engine_layers,
+            model_stage_specs,
         )
 
         model = Sequential(
@@ -190,12 +99,12 @@ class TestUnsupportedLayerError:
         with pytest.raises(
             UnsupportedLayerError, match=r"module 2 \(MaxPool2D\)"
         ):
-            model_engine_layers(model)
+            model_stage_specs(model)
 
     def test_nonzero_bias_rejected_with_index(self):
         from repro.nn.serialization import (
             UnsupportedLayerError,
-            model_engine_layers,
+            model_stage_specs,
         )
 
         model = Sequential(PermDiagLinear(16, 16, p=4, bias=True, rng=0))
@@ -204,47 +113,19 @@ class TestUnsupportedLayerError:
             UnsupportedLayerError,
             match=r"module 1 \(PermDiagLinear\) carries a non-zero bias",
         ):
-            model_engine_layers(model)
+            model_stage_specs(model)
 
     def test_orphan_activation_rejected_with_index(self):
         from repro.nn import Tanh
         from repro.nn.serialization import (
             UnsupportedLayerError,
-            model_engine_layers,
+            model_stage_specs,
         )
 
         model = Sequential(Tanh())
         with pytest.raises(
             UnsupportedLayerError,
             match=r"module 1 \(Tanh\) is an activation that does not "
-            r"follow a PD FC layer",
+            r"follow a PD FC or conv layer",
         ):
-            model_engine_layers(model)
-
-
-class TestModelEngineLayersAliasing:
-    def test_returned_matrices_are_live(self):
-        """model_engine_layers hands out the layers' *live* matrices:
-        storage aliased with the trainable parameters, no copies."""
-        from repro.nn import PermDiagLinear, ReLU, Sequential
-        from repro.nn.serialization import model_engine_layers
-
-        model = Sequential(
-            PermDiagLinear(16, 32, p=4, bias=False, rng=0),
-            ReLU(),
-            PermDiagLinear(32, 8, p=4, bias=False, rng=1),
-        )
-        pd_modules = [
-            m for m in model.modules() if isinstance(m, PermDiagLinear)
-        ]
-        layers = model_engine_layers(model)
-        assert len(layers) == len(pd_modules)
-        for (matrix, activation), module in zip(layers, pd_modules):
-            assert matrix is module.matrix
-            assert np.shares_memory(matrix.data, module.weight.value)
-        assert [act for _, act in layers] == ["relu", None]
-        # an in-place parameter update is immediately visible
-        pd_modules[0].weight.value *= 2.0
-        np.testing.assert_array_equal(
-            layers[0][0].data, pd_modules[0].weight.value
-        )
+            model_stage_specs(model)

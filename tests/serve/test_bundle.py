@@ -9,9 +9,10 @@ import repro.core.block_perm_diag as mod
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 from repro.serve import (
     ModelServer,
+    ShardedLayer,
     export_model_bundle,
-    export_sharded_bundle,
-    load_sharded_bundle,
+    export_staged_bundle,
+    load_staged_bundle,
 )
 
 
@@ -23,6 +24,13 @@ def _stack(seed=0):
     return [(l1, "relu"), (l2, None)]
 
 
+def _export(directory, layers, num_shards=2):
+    export_staged_bundle(
+        directory,
+        [ShardedLayer(matrix, act, num_shards) for matrix, act in layers],
+    )
+
+
 class TestBundleRoundTrip:
     def test_loaded_bundle_serves_identically(self, tmp_path):
         layers = _stack()
@@ -31,7 +39,7 @@ class TestBundleRoundTrip:
         ref.submit_many(xs)
         reference = ref.drain()
 
-        export_sharded_bundle(tmp_path, layers, num_shards=2)
+        _export(tmp_path, layers)
         server = ModelServer.from_bundle(tmp_path, max_batch_size=4)
         assert server.num_shards == 2
         server.submit_many(xs)
@@ -45,7 +53,7 @@ class TestBundleRoundTrip:
         """The cold-start property: booting a sharded server from a bundle
         performs no index arithmetic at all."""
         layers = _stack()
-        export_sharded_bundle(tmp_path, layers, num_shards=2)
+        _export(tmp_path, layers)
 
         def boom(*args, **kwargs):
             raise AssertionError("bundle load rebuilt an index plan")
@@ -56,16 +64,16 @@ class TestBundleRoundTrip:
         assert server.drain().num_requests == 3
 
     def test_manifest_describes_the_model(self, tmp_path):
-        export_sharded_bundle(tmp_path, _stack(), num_shards=2)
-        layers, manifest = load_sharded_bundle(tmp_path)
+        _export(tmp_path, _stack())
+        stages, manifest = load_staged_bundle(tmp_path)
         assert manifest["num_shards"] == 2 and manifest["num_layers"] == 2
         assert [spec["shape"] for spec in manifest["layers"]] == [
             [64, 48], [30, 64],
         ]
-        (shards1, act1), (shards2, act2) = layers
-        assert act1 == "relu" and act2 is None
-        assert sum(s.shape[0] for s in shards1) == 64
-        assert sum(s.shape[0] for s in shards2) == 30
+        layer1, layer2 = stages
+        assert layer1.activation == "relu" and layer2.activation is None
+        assert sum(s.shape[0] for s in layer1.shards) == 64
+        assert sum(s.shape[0] for s in layer2.shards) == 30
 
     def test_export_model_bundle(self, tmp_path):
         from repro.models import build_alexnet_fc
@@ -84,29 +92,59 @@ class TestBundleRoundTrip:
 class TestBundleValidation:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):
-            load_sharded_bundle(tmp_path)
+            load_staged_bundle(tmp_path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        export_sharded_bundle(tmp_path, _stack(), num_shards=2)
+    @pytest.mark.parametrize("version", [999, 1, 2])
+    def test_version_mismatch_rejected(self, tmp_path, version):
+        _export(tmp_path, _stack())
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["bundle_version"] = 999
+        manifest["bundle_version"] = version
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="version"):
-            load_sharded_bundle(tmp_path)
+            load_staged_bundle(tmp_path)
 
     def test_shape_tampering_rejected(self, tmp_path):
-        export_sharded_bundle(tmp_path, _stack(), num_shards=2)
+        _export(tmp_path, _stack())
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["layers"][0]["shape"] = [63, 48]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="does not match"):
-            load_sharded_bundle(tmp_path)
+            load_staged_bundle(tmp_path)
+
+    @pytest.mark.parametrize("field", ["value_dtype", "stage_kind", "slots"])
+    def test_missing_field_rejected_naming_the_manifest(self, tmp_path, field):
+        """Older manifests' defaults are gone: every layer field is
+        required."""
+        _export(tmp_path, _stack())
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["layers"][1][field]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=rf"manifest\.json.*{field}"):
+            load_staged_bundle(tmp_path)
+
+    @pytest.mark.parametrize("absolute", [True, False])
+    def test_shard_file_outside_the_bundle_rejected(self, tmp_path, absolute):
+        """A manifest may not point the loader at another bundle's
+        images, even when they exist and match."""
+        other, bundle = tmp_path / "other", tmp_path / "bundle"
+        _export(other, _stack())
+        _export(bundle, _stack())
+        (bundle / "shard0.npz").unlink()
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["shard_files"][0] = (
+            str(other / "shard0.npz") if absolute else "../other/shard0.npz"
+        )
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"manifest\.json.*shard files"):
+            load_staged_bundle(bundle)
 
     def test_empty_stack_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            export_sharded_bundle(tmp_path, [], num_shards=2)
+            export_staged_bundle(tmp_path, [])
 
     def test_unservable_model_rejected(self, tmp_path):
         from repro.models import build_alexnet_fc
@@ -124,7 +162,7 @@ class TestBundleSanitizer:
         from repro.debug import sanitize
 
         layers = _stack()
-        export_sharded_bundle(tmp_path, layers, num_shards=2)
+        _export(tmp_path, layers)
         xs = np.random.default_rng(2).normal(size=(4, 48))
         with sanitize() as s:
             server = ModelServer.from_bundle(tmp_path, max_batch_size=4)

@@ -1,4 +1,4 @@
-"""Sharded bundles (manifest v2) carry and cross-check value dtypes."""
+"""Sharded bundles carry and cross-check value dtypes in the manifest."""
 
 import json
 
@@ -7,8 +7,8 @@ import pytest
 
 from repro.core import BlockPermutedDiagonalMatrix
 from repro.nn.quantization import FixedPointFormat
-from repro.serve.bundle import export_sharded_bundle, load_sharded_bundle
-from repro.serve.server import ModelServer
+from repro.serve.bundle import export_staged_bundle, load_staged_bundle
+from repro.serve.server import ModelServer, ShardedLayer
 
 
 def _layers():
@@ -32,15 +32,22 @@ def _layers():
     ]
 
 
+def _export(directory, layers, num_shards):
+    export_staged_bundle(
+        directory,
+        [ShardedLayer(matrix, act, num_shards) for matrix, act in layers],
+    )
+
+
 def test_bundle_round_trip_preserves_value_dtypes(tmp_path):
-    export_sharded_bundle(tmp_path, _layers(), num_shards=4)
-    layers, manifest = load_sharded_bundle(tmp_path)
+    _export(tmp_path, _layers(), num_shards=4)
+    stages, manifest = load_staged_bundle(tmp_path)
     assert manifest["layers"][0]["value_dtype"] == "float32"
     assert manifest["layers"][0]["fixed_point"] is None
     assert manifest["layers"][1]["value_dtype"] == "int16"
     assert manifest["layers"][1]["fixed_point"] == [16, 13]
-    for (shards, _), (orig, _) in zip(layers, _layers()):
-        for shard in shards:
+    for stage, (orig, _) in zip(stages, _layers()):
+        for shard in stage.shards:
             assert shard.value_dtype == orig.value_dtype
             assert shard.fixed_point == orig.fixed_point
             assert shard.data.dtype == orig.data.dtype
@@ -48,7 +55,7 @@ def test_bundle_round_trip_preserves_value_dtypes(tmp_path):
 
 def test_bundle_server_matches_direct_chain(tmp_path):
     layers = _layers()
-    export_sharded_bundle(tmp_path, layers, num_shards=4)
+    _export(tmp_path, layers, num_shards=4)
     server = ModelServer.from_bundle(tmp_path, enforce_capacity=False)
     x = np.random.default_rng(0).normal(size=(5, 48))
     server.submit_many(x)
@@ -59,28 +66,11 @@ def test_bundle_server_matches_direct_chain(tmp_path):
 
 
 def test_manifest_dtype_mismatch_fails_loudly(tmp_path):
-    export_sharded_bundle(tmp_path, _layers(), num_shards=2)
+    _export(tmp_path, _layers(), num_shards=2)
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["layers"][0]["value_dtype"] = "int16"
     manifest["layers"][0]["fixed_point"] = [16, 12]
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="does not match"):
-        load_sharded_bundle(tmp_path)
-
-
-def test_v1_manifest_loads_float64_layers(tmp_path):
-    float_layers = [
-        (BlockPermutedDiagonalMatrix.random((32, 32), 8, rng=5), "relu")
-    ]
-    export_sharded_bundle(tmp_path, float_layers, num_shards=2)
-    manifest_path = tmp_path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["bundle_version"] = 1
-    for spec in manifest["layers"]:
-        del spec["value_dtype"]
-        del spec["fixed_point"]
-    manifest_path.write_text(json.dumps(manifest))
-    layers, loaded_manifest = load_sharded_bundle(tmp_path)
-    assert int(loaded_manifest["bundle_version"]) == 1
-    assert all(shard.value_dtype == "float64" for shard in layers[0][0])
+        load_staged_bundle(tmp_path)

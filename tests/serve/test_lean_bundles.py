@@ -1,8 +1,8 @@
 """Index-light bundles: stored members, forward-only plans, checked loads.
 
-Shard images persist the values, the structure, the support mask and the
-forward CSR skeleton -- nothing else.  These tests pin that layout, the
-lazy derivation of every other plan member on a loaded matrix (without
+Shard images persist the values, the structure and the forward CSR
+skeleton -- nothing else.  These tests pin that layout, the derivation of
+the support mask and every other plan member on a loaded matrix (without
 building a plan), the structural checks that keep a corrupted skeleton
 from reaching scipy's unchecked kernels, and that bundles written by the
 older, fully warmed, deflated writer still boot and serve unchanged.
@@ -23,7 +23,7 @@ import pytest
 import repro.core.block_perm_diag as mod
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 from repro.debug import sanitize
-from repro.serve import ModelServer, export_sharded_bundle
+from repro.serve import ModelServer, ShardedLayer
 from repro.serve.bundle import export_staged_bundle, load_staged_bundle
 
 REPO = Path(__file__).resolve().parents[2]
@@ -37,6 +37,13 @@ def _layers(seed=0):
     l1 = BlockPermutedDiagonalMatrix.random((64, 48), 4, spec=spec, rng=rng)
     l2 = BlockPermutedDiagonalMatrix.random((30, 62), 8, spec=spec, rng=rng)
     return [(l1, "relu"), (l2, None)]
+
+
+def _export(directory, layers, num_shards=2):
+    export_staged_bundle(
+        directory,
+        [ShardedLayer(matrix, act, num_shards) for matrix, act in layers],
+    )
 
 
 def _plan_members(blob: bytes) -> set[str]:
@@ -57,7 +64,7 @@ def _probe(server: ModelServer) -> np.ndarray:
 
 class TestLeanImages:
     def test_shard_images_are_stored_with_forward_only_plans(self, tmp_path):
-        export_sharded_bundle(tmp_path, _layers(), num_shards=2)
+        _export(tmp_path, _layers())
         for shard in sorted(tmp_path.glob("shard*.npz")):
             with zipfile.ZipFile(shard) as archive:
                 assert {info.compress_type for info in archive.infolist()} == {
@@ -66,11 +73,11 @@ class TestLeanImages:
             payload = _read_npz(shard)
             for idx in range(int(payload["num_layers"])):
                 members = _plan_members(payload[f"layer{idx}_plan"].tobytes())
-                assert {"csr0_0", "csr0_1", "csr0_2", "support", "ks"} <= members
+                assert {"csr0_0", "csr0_1", "csr0_2", "ks"} <= members
                 leaked = {
                     key for key in members
                     if key.startswith(("t", "sc", "csr1_"))
-                    or key in ("rows", "cols")
+                    or key in ("rows", "cols", "support", "nnz")
                 }
                 assert not leaked, leaked
 
@@ -78,7 +85,7 @@ class TestLeanImages:
         self, tmp_path, monkeypatch
     ):
         layers = _layers(1)
-        export_sharded_bundle(tmp_path, layers, num_shards=2)
+        _export(tmp_path, layers)
         stages, _ = load_staged_bundle(tmp_path)
 
         def boom(*args, **kwargs):
@@ -154,7 +161,7 @@ class TestCorruptPlans:
             ("csr0_0", lambda a: a.__setitem__(-1, a[-1] + 1), "indptr"),
             ("csr0_2", lambda a: a.__setitem__(0, a.max() + 10**6), "value positions"),
             ("csr0_0", lambda a: a[:-1], "indptr"),
-            ("support", lambda a: a.fill(False), "support"),
+            ("ks", lambda a: a.__setitem__((0, 0), 10**6), "structure"),
         ],
     )
     def test_tampered_skeleton_rejected(self, key, mutate, match):
@@ -162,6 +169,32 @@ class TestCorruptPlans:
         blob = _tamper(matrix.plan_bytes(), key, mutate)
         with pytest.raises(ValueError, match=match):
             mod._IndexPlan.from_bytes(blob)
+
+    def test_persisted_support_mask_is_ignored(self):
+        """Older writers persisted the support mask.  Swapping one padded
+        and one in-bounds slot in that copy used to zero a real weight
+        with no error; the loader now derives the mask from the
+        structure, without building a plan."""
+        matrix = BlockPermutedDiagonalMatrix.random((30, 45), 4, rng=0)
+        support = matrix.support_mask()
+        tampered = support.copy()
+        tampered[tuple(np.argwhere(~support)[0])] = True
+        tampered[tuple(np.argwhere(support)[0])] = False
+        payload = _read_npz(io.BytesIO(matrix.plan_bytes()))
+        payload["support"] = tampered
+        payload["nnz"] = np.int64(matrix.nnz)
+        buffer = io.BytesIO()
+        np.savez(buffer, **payload)
+        x = np.random.default_rng(0).normal(size=(3, 45))
+        expected = matrix.matmat(x)
+        with sanitize() as guard:
+            loaded = BlockPermutedDiagonalMatrix.from_plan(
+                buffer.getvalue(), matrix.data.copy()
+            )
+            served = loaded.matmat(x)
+            assert guard.stats.plan_builds == 0
+        np.testing.assert_array_equal(loaded.support_mask(), support)
+        np.testing.assert_array_equal(served, expected)
 
     def test_corrupted_bundle_raises_instead_of_crashing(self, tmp_path):
         """An out-of-range forward CSR index used to boot fine and then

@@ -38,7 +38,6 @@ from repro.serve import (
     ServedStage,
     ShardedLayer,
     export_model_bundle,
-    load_sharded_bundle,
     load_staged_bundle,
 )
 
@@ -326,45 +325,25 @@ class TestStagedBundles:
             assert s.stats.plan_rebuilds == 0
         np.testing.assert_array_equal(out, reference)
 
-    def test_v2_manifest_still_loads_as_fc(self, tmp_path):
-        """Pre-v3 bundles carry no stage tags; they must keep loading as
-        single-slot FC stages with the cold-start property intact."""
-        model = Sequential(
-            PermDiagLinear(24, 16, p=2, bias=False, rng=0), ReLU(),
-            PermDiagLinear(16, 8, p=2, bias=False, rng=1),
-        )
-        model.eval()
-        export_model_bundle(tmp_path, model, num_shards=2)
-        manifest_path = tmp_path / "manifest.json"
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_aux_file_outside_the_bundle_rejected(self, tmp_path, absolute):
+        """A manifest may not point the loader at another bundle's aux
+        sidecar, even when it exists and matches."""
+        cell = LSTMCell(6, 16, p=2, rng=0)
+        for name in ("b1", "b2"):
+            export_model_bundle(tmp_path / name, cell, num_shards=2)
+        bundle = tmp_path / "b1"
+        (bundle / "stage0_aux.npz").unlink()
+        manifest_path = bundle / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["bundle_version"] = 2
-        for entry in manifest["layers"]:
-            del entry["stage_kind"]
-            del entry["slots"]
+        manifest["layers"][0]["aux_file"] = (
+            str(tmp_path / "b2" / "stage0_aux.npz")
+            if absolute
+            else "../b2/stage0_aux.npz"
+        )
         manifest_path.write_text(json.dumps(manifest))
-
-        def boom(*args, **kwargs):
-            raise AssertionError("v2 bundle load rebuilt an index plan")
-
-        orig = mod._IndexPlan.__init__
-        mod._IndexPlan.__init__ = boom
-        try:
-            stages, loaded = load_staged_bundle(tmp_path)
-            layers, _ = load_sharded_bundle(tmp_path)
-        finally:
-            mod._IndexPlan.__init__ = orig
-        assert all(isinstance(stage, ShardedLayer) for stage in stages)
-        assert int(loaded["bundle_version"]) == 2
-        assert [act for _, act in layers] == ["relu", None]
-        xs = _requests(3, 24)
-        served = _drain(ModelServer(stages, max_batch_size=4), xs)
-        np.testing.assert_allclose(served, model.forward(xs), atol=1e-10)
-
-    def test_fc_only_loader_rejects_staged_bundles(self, tmp_path):
-        model, (h, w) = _conv_model()
-        export_model_bundle(tmp_path, model, num_shards=2, input_hw=(h, w))
-        with pytest.raises(ValueError, match="load_staged_bundle"):
-            load_sharded_bundle(tmp_path)
+        with pytest.raises(ValueError, match=r"manifest\.json.*aux file"):
+            load_staged_bundle(bundle)
 
     def test_unknown_stage_kind_rejected(self, tmp_path):
         model, (h, w) = _conv_model()

@@ -631,17 +631,3 @@ class TestDocsCheck:
         findings, checked = check_docs(REPO_ROOT)
         assert findings == []
         assert checked > 0
-
-
-class TestDocsLintCompatWrapper:
-    def test_script_still_reports_clean(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "tools/docs_lint.py"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -7,8 +7,8 @@ relative targets are ignored for the existence check.  Fenced code blocks
 and inline code spans are not linted.
 
 Findings carry code :data:`DOCS_BROKEN_LINK_CODE` so ``--json`` output is
-uniform with the python rules.  (``tools/docs_lint.py`` remains as a
-compatibility wrapper over this module.)
+uniform with the python rules.  Run it with
+``python -m tools.repro_lint --docs``.
 """
 
 from __future__ import annotations
