@@ -6,17 +6,11 @@ Measures the three products every training step pays --
 - backward: ``dX = rmatmat(dY)`` plus ``dQ = grad_data(X, dY)``;
 
 -- through the cached index plan and the selected kernel backend, and
-compares against two frozen baselines:
-
-- **naive** (pre-PR 1): a fresh structured matrix per call (indices and
-  support recomputed from scratch) whose input gradient goes through a
-  materialized ``transpose()`` object.  ``bwd_speedup`` against it is the
-  tracked regression metric for the kernel cache.
-- **pr1**: the PR 1 kernel -- cached plan, transpose-free backward, but
-  int64 CSR skeletons and the pre-dispatch ``grad_data``.  ``grad_vs_pr1``
-  (and ``bwd_ms`` vs ``pr1_bwd_ms``) track what the int32-CSR backend
-  dispatch layer buys on top of the plan cache; the acceptance bar is
-  ``grad_vs_pr1 >= 1.0`` at (m=n=4096, p=64, batch=128).
+compares against a frozen **naive** baseline: a fresh structured matrix
+per call (indices and support recomputed from scratch) whose input
+gradient goes through a materialized ``transpose()`` object.
+``bwd_speedup`` against it is the tracked regression metric for the
+kernel cache.
 
 Usage::
 
@@ -29,9 +23,9 @@ Usage::
 
 The ``--dtype`` axis times the value-storage modes (float64 default,
 float32 storage+compute, int16 fixed-point codes decoded into float64
-accumulation).  The naive/pr1 baselines always run at float64 -- they
-replicate pre-dtype-storage code, which *was* float64 -- so the speedup
-columns fold in whatever the reduced-precision storage buys.
+accumulation).  The naive baseline always runs at float64 -- it
+replicates pre-dtype-storage code, which *was* float64 -- so the speedup
+column folds in whatever the reduced-precision storage buys.
 """
 
 from __future__ import annotations
@@ -103,50 +97,6 @@ def _naive_backward(matrix: BlockPermutedDiagonalMatrix, x, dy) -> None:
     np.einsum("bic,bijc->ijc", dy_blocks, gathered) * plan.support
 
 
-def _pr1_style_matrix(
-    matrix: BlockPermutedDiagonalMatrix,
-) -> BlockPermutedDiagonalMatrix:
-    """An independent copy of ``matrix`` frozen at PR 1 behaviour.
-
-    PR 1 cached the index plan and ran the backward transpose-free, but its
-    CSR skeletons stored int64 ``indptr``/``indices``.  The copy gets its
-    own plan whose cached skeletons are re-cast to int64, so spmm against
-    it pays exactly the PR 1 index traffic.
-    """
-    pr1 = BlockPermutedDiagonalMatrix(matrix.data, matrix.ks, shape=matrix.shape)
-    plan = pr1._get_plan().warm()
-    for key in (False, True):
-        indptr, indices, perm = plan.csr_struct(key)
-        plan._csr_structs[key] = (
-            indptr.astype(np.int64),
-            indices.astype(np.int64),
-            perm.astype(np.int64),
-        )
-    return pr1
-
-
-def _pr1_grad(matrix: BlockPermutedDiagonalMatrix, x, dy) -> np.ndarray:
-    """Verbatim replica of the PR 1 ``grad_data`` (transposed gather)."""
-    plan = matrix._get_plan()
-    batch = x.shape[0]
-    x_t = np.ascontiguousarray(x.T)
-    dy_t = np.ascontiguousarray(dy.T)
-    if not plan.aligned_n:
-        x_pad = np.zeros((matrix.nb * matrix.p, batch))
-        x_pad[: x_t.shape[0]] = x_t
-        x_t = x_pad
-    if not plan.aligned_m:
-        dy_pad = np.zeros((matrix.mb * matrix.p, batch))
-        dy_pad[: dy_t.shape[0]] = dy_t
-        dy_t = dy_pad
-    dy_blocks = dy_t.reshape(matrix.mb, matrix.p, batch)
-    gathered = x_t[plan.flat_cols].reshape(matrix.mb, matrix.nb, matrix.p, batch)
-    grad = np.einsum("icb,ijcb->ijc", dy_blocks, gathered)
-    if plan.full_support:
-        return grad
-    return grad * plan.support
-
-
 def bench_point(
     m: int,
     n: int,
@@ -161,7 +111,6 @@ def bench_point(
     matrix = (
         base if value_dtype == "float64" else base.with_value_dtype(value_dtype)
     )
-    pr1 = _pr1_style_matrix(base)
     # Inputs arrive in the kernel's compute dtype (the serving path hands
     # float32 activations to a float32 layer); baselines stay float64.
     x64 = rng.normal(size=(batch, n))
@@ -174,10 +123,6 @@ def bench_point(
         lambda: (matrix.rmatmat(dy), matrix.grad_data(x, dy)), reps
     )
     grad_s = _time(lambda: matrix.grad_data(x, dy), reps)
-    pr1_bwd_s = _time(
-        lambda: (pr1.rmatmat(dy64), _pr1_grad(pr1, x64, dy64)), reps
-    )
-    pr1_grad_s = _time(lambda: _pr1_grad(pr1, x64, dy64), reps)
     naive_s = _time(lambda: _naive_backward(base, x64, dy64), reps)
 
     # A forward touches batch * nnz multiply-accumulates; the backward pair
@@ -197,10 +142,7 @@ def bench_point(
         f"{bwd_s * 1e3:.2f}",
         f"{bwd_gmacs:.2f}",
         f"{grad_s * 1e3:.2f}",
-        f"{pr1_bwd_s * 1e3:.2f}",
-        f"{pr1_grad_s * 1e3:.2f}",
         f"{naive_s * 1e3:.2f}",
-        f"{pr1_grad_s / grad_s:.2f}x",
         f"{naive_s / bwd_s:.2f}x",
     )
 
@@ -217,10 +159,7 @@ HEADERS = [
     "bwd_ms",
     "bwd_GMAC/s",
     "grad_ms",
-    "pr1_bwd_ms",
-    "pr1_grad_ms",
     "naive_bwd_ms",
-    "grad_vs_pr1",
     "bwd_speedup",
 ]
 

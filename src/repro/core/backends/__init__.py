@@ -4,8 +4,8 @@ Every matmul path in the repo dispatches through this registry instead of
 hard-coding scipy-vs-numpy branching:
 
 - ``gather`` -- pure numpy fancy-indexing + einsum; always available.
-- ``csr``    -- scipy CSR spmm with int32-indexed skeletons; the default
-  whenever scipy imports.
+- ``csr``    -- scipy sparse products reading the stored values in place;
+  the default whenever scipy imports.
 - ``numba``  -- JIT-compiled parallel loops; auto-detected, optional.
 
 Selection precedence, per product call:

@@ -6,7 +6,7 @@ pays -- ``matmat`` (forward), ``rmatmat`` (input gradient) and ``grad_data``
 :class:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix`.
 
 Backends are **stateless singletons**: all per-matrix state (the cached
-index plan, the refreshed CSR value buffers) lives on the matrix itself,
+index plan, the cached sparse views) lives on the matrix itself,
 so one backend instance serves every matrix in the process.  Input
 validation also stays on the matrix -- backends receive arrays of the
 correct shape, pre-cast to the matrix's *compute dtype*
@@ -42,7 +42,7 @@ class KernelBackend:
     Subclasses set :attr:`name`, may override :meth:`is_available`, and
     implement the batched products.  The single-vector products default to
     the batched ones with a singleton batch; override when a backend has a
-    cheaper direct path (e.g. CSR mat-vec).
+    cheaper direct path.
     """
 
     #: Registry key; also the value accepted by ``backend=`` arguments,

@@ -15,7 +15,7 @@ roughly 4x faster than the one-shot gather it replaces.
 The batched weight gradient implemented here is shared by the other CPU
 backends (see :class:`~repro.core.backends.csr.CsrBackend`): it contracts
 the whole batch against the plan's column skeleton -- the same ``(row,
-col)`` set the CSR matrices are built from -- with the ``dy`` side
+col)`` set the sparse views are built from -- with the ``dy`` side
 expressed as a broadcast over block columns instead of a second
 ``nnz x B`` gather.
 """

@@ -14,8 +14,8 @@ Index-plan cache
 ----------------
 Because non-zero positions are arithmetically derivable, every index
 artifact -- the global row/column of each stored slot, the support mask,
-the forward gather columns, the transposed gather pair, and the CSR
-skeletons used by the sparse products -- is a pure function of the
+the forward gather columns, the transposed gather pair, and the COO
+coordinates the sparse products run on -- is a pure function of the
 *structure* ``(ks, shape, p)`` and never of the values.  Each is computed
 once, lazily, in ``O(N)`` and without sorting, in an :class:`_IndexPlan`
 cached on the matrix;
@@ -65,31 +65,34 @@ the alias:
 trainable parameter at the same buffer, so in-place optimizer updates are
 visible to the matrix with zero copies.  In-place writes to ``data`` are
 fine for *values*; writing non-zeros into the padding region of an aliased
-buffer is unsupported (products ignore those slots, but storage accounting
-and ``to_q`` round-trips assume they stay zero).
+buffer is unsupported (the ``csr`` products pair those slots with
+zero-padded inputs or cut their outputs, so finite values there add
+nothing, but storage accounting and ``to_q`` round-trips assume they stay
+zero).
 
 Backend dispatch
 ----------------
 The products themselves execute through a pluggable
-:mod:`repro.core.backends` implementation: ``csr`` (scipy, int32-indexed
-CSR skeletons -- the default when scipy imports), ``gather`` (pure numpy)
-or ``numba`` (optional JIT).  Selection order per call: the matrix's own
-``backend=`` argument / :meth:`~BlockPermutedDiagonalMatrix.set_backend`,
+:mod:`repro.core.backends` implementation: ``csr`` (scipy sparse products
+over the stored values in place -- the default when scipy imports),
+``gather`` (pure numpy) or ``numba`` (optional JIT).  Selection order
+per call: the matrix's own ``backend=`` argument /
+:meth:`~BlockPermutedDiagonalMatrix.set_backend`,
 then :func:`repro.core.backends.set_default_backend`, then the
 ``REPRO_BACKEND`` environment variable, then auto-detection.
 
 Plan serialization
 ------------------
-The forward serving plan -- structure and forward CSR skeleton --
+A plan persists as its structure ``(ks, shape, p)`` alone -- the paper's
+point that a PD layer needs no index data beyond ``k`` and ``p`` -- and
 round-trips through :meth:`~BlockPermutedDiagonalMatrix.plan_bytes` /
 :meth:`~BlockPermutedDiagonalMatrix.from_plan`, so engine images (and the
 serving bundles built from them) reload matrices without building a plan
-or sorting anything.  The other members are left out on purpose: the
-support mask and ``nnz`` are re-derived from the structure at load, and
-every index array is an ``O(N)`` function of the structure derived on
-first use, while persisting them would multiply the artifact size several
-times over the values.  Deserialized skeletons are range-checked before
-any kernel sees them.
+or sorting anything.  The support mask and ``nnz`` are re-derived from
+the structure at load and every index array on first use, in ``O(N)``;
+persisting them would multiply the artifact size over the values.  The
+structure is checked at load, and no kernel reads an index array that
+was not derived in this process.
 """
 
 from __future__ import annotations
@@ -117,7 +120,9 @@ __all__ = ["BlockPermutedDiagonalMatrix", "row_shard_bounds"]
 _GATHER_ELEMENT_LIMIT = 50_000_000
 
 # Version tag of the _IndexPlan.to_bytes() wire format (2 added the
-# optional value-dtype tag, ``vd``/``fp`` keys).  Only this version loads.
+# optional value-dtype tag, ``vd``/``fp`` keys; version 2 writers before
+# the structure-only payload also stored a ``csr0_*`` skeleton, which is
+# ignored).  Only this version loads.
 _PLAN_FORMAT_VERSION = 2
 
 
@@ -229,7 +234,7 @@ class _IndexPlan:
     (see :meth:`BlockPermutedDiagonalMatrix.like`).  Only the structure,
     the support mask and ``nnz`` are eager; every index array -- the
     per-slot rows/columns, the transpose pair, the support coordinates and
-    both CSR skeletons -- is derived from them on first use, in ``O(N)``
+    the COO coordinates -- is derived from them on first use, in ``O(N)``
     with no sort, so forward-only consumers never pay for the rest.  All
     exposed arrays are read-only.
 
@@ -260,7 +265,7 @@ class _IndexPlan:
         self._cols: np.ndarray | None = None
         self._t_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._support_coords: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._csr_structs: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._coo_coords: tuple[np.ndarray, np.ndarray] | None = None
         # Serialization metadata only (plans are value-free and shared
         # across dtype siblings): the value dtype of the matrix whose
         # plan_bytes() produced a deserialized plan, used by from_plan()
@@ -339,49 +344,30 @@ class _IndexPlan:
             self._t_arrays = (t_src, t_cols)
         return self._t_arrays
 
-    def csr_struct(
-        self, transposed: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR skeleton ``(indptr, indices, perm)`` of ``W`` (or ``W.T``).
+    def coo_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``(rows, cols)`` of every slot of the padded ``(mb*p, nb*p)``
+        matrix, in storage order, so ``data.reshape(-1)`` is their value
+        array as it stands; swapped, they are the coordinates of ``W.T``.
 
-        ``indptr``/``indices`` are int32 whenever the matrix dimensions
-        permit (scipy's native index type -- spmm then moves half the index
-        bytes of an int64 skeleton); ``perm`` stays at the platform index
-        type because it is consumed by numpy fancy indexing, which would
-        otherwise re-cast it on every value refresh.  ``perm`` gathers
-        ``data.ravel()`` into CSR order, so refreshing a cached sparse
-        matrix after an in-place weight update is a single ``nnz``-sized
-        gather.
+        Padded slots are included (their values are zero), which keeps
+        both arrays pure functions of ``(ks, p)`` -- no mask, no sort.
+        They are int32 whenever the padded dimensions permit: scipy's
+        native index type, and a third of the bytes of the int64
+        ``rows``/``cols`` gather members.
         """
-        key = bool(transposed)
-        if key not in self._csr_structs:
-            # Row r of one block row meets exactly one slot per block
-            # column, at a column that grows with the block column (and
-            # likewise for W.T), so walking the slots in (block row, row
-            # offset, block column) order *is* CSR order: no sort needed.
-            if transposed:
-                t_src, t_cols = self.transpose_arrays()
-                perm, cols = t_src.transpose(0, 2, 1), t_cols.transpose(0, 2, 1)
-                height = self.shape[1]
-            else:
-                perm = np.arange(self.support.size, dtype=np.int64)
-                perm = perm.reshape(self.support.shape).transpose(0, 2, 1)
-                cols = self.cols.transpose(0, 2, 1)
-                height = self.shape[0]
-            keep = self.support.reshape(-1)[perm]
-            idx_dtype = (
-                np.int32
-                if max(self.shape[0], self.shape[1], self.nnz) < 2**31
-                else np.int64
-            )
-            indptr = np.zeros(height + 1, dtype=idx_dtype)
-            np.cumsum(keep.sum(axis=2).reshape(-1)[:height], out=indptr[1:])
-            indices = cols[keep].astype(idx_dtype, copy=False)
-            perm = perm[keep]
-            for arr in (indptr, indices, perm):
-                arr.setflags(write=False)
-            self._csr_structs[key] = (indptr, indices, perm)
-        return self._csr_structs[key]
+        if self._coo_coords is None:
+            p, mb, nb = self.p, self.mb, self.nb
+            idx = np.int32 if max(mb, nb) * p < 2**31 else np.int64
+            rows = np.empty((mb, nb, p), dtype=idx)
+            rows[...] = np.arange(mb * p, dtype=idx).reshape(mb, 1, p)
+            cols = np.arange(p, dtype=idx) + self.ks.astype(idx)[:, :, None]
+            cols %= p
+            cols += np.arange(0, nb * p, p, dtype=idx)[None, :, None]
+            rows, cols = rows.reshape(-1), cols.reshape(-1)
+            rows.setflags(write=False)
+            cols.setflags(write=False)
+            self._coo_coords = (rows, cols)
+        return self._coo_coords
 
     def transposed(self) -> "_IndexPlan":
         """Plan of ``W.T`` (``k_t = (-k) mod p`` per block), built from
@@ -445,24 +431,20 @@ class _IndexPlan:
 
     def warm(self) -> "_IndexPlan":
         """Force-build every lazy member (rows/columns, transpose pair,
-        support coordinates, both CSR skeletons).  Returns ``self``."""
+        support coordinates, COO coordinates).  Returns ``self``."""
         self.support_coords()
         self.transpose_arrays()
-        self.csr_struct(False)
-        self.csr_struct(True)
+        self.coo_coords()
         return self
 
     def to_bytes(self, value_dtype: str | None = None, fixed_point=None) -> bytes:
-        """Serialize the forward serving plan (an ``.npz`` payload).
+        """Serialize the plan as its structure (an ``.npz`` payload).
 
-        The payload holds the structure ``(ks, shape, p)`` and the
-        forward CSR skeleton (built here if needed) -- all a restored plan
-        needs to serve ``matmat`` on the ``csr`` backend without sorting
-        or building anything.  The support mask and ``nnz`` are pure
-        functions of the structure, re-derived at load; every other
-        member is derived in ``O(N)`` on first use by the restored plan,
-        so persisting it would only grow the artifact (it is several
-        times the size of the values).
+        The payload holds ``(ks, shape, p)`` and no index array: the
+        support mask and ``nnz`` are re-derived at load, and every other
+        member in ``O(N)`` on first use by the restored plan, so
+        persisting one would only grow the artifact (the forward CSR
+        skeleton older writers stored was larger than the values).
 
         ``value_dtype``/``fixed_point`` (normally supplied by
         :meth:`BlockPermutedDiagonalMatrix.plan_bytes`) tag the payload
@@ -485,8 +467,6 @@ class _IndexPlan:
                     [fixed_point.total_bits, fixed_point.frac_bits],
                     dtype=np.int64,
                 )
-        for pos, arr in enumerate(self.csr_struct(False)):
-            payload[f"csr0_{pos}"] = arr
         buffer = io.BytesIO()
         np.savez(buffer, **payload)
         return buffer.getvalue()
@@ -495,12 +475,11 @@ class _IndexPlan:
     def from_bytes(cls, blob: bytes) -> "_IndexPlan":
         """Rebuild a plan from :meth:`to_bytes` without building one.
 
-        Reads the structure and the forward CSR skeleton (re-frozen
-        read-only), validates them (:meth:`_check`) and derives the
-        support mask and ``nnz`` from the structure.  Any other member a
-        payload carries -- older writers persisted the support mask, or
-        every lazy member -- is ignored; a missing member raises
-        ``ValueError``.
+        Reads the structure (``ks`` re-frozen read-only), validates it
+        (:meth:`_check`) and derives the support mask and ``nnz`` from it.
+        Any other member a payload carries -- older writers persisted the
+        forward CSR skeleton, the support mask, or every lazy member -- is
+        ignored; a missing member raises ``ValueError``.
         """
         with np.load(io.BytesIO(blob)) as archive:
             try:
@@ -513,7 +492,6 @@ class _IndexPlan:
                 ks = archive["ks"]
                 shape = tuple(int(v) for v in archive["shape"])
                 p = int(archive["p"])
-                struct = tuple(archive[f"csr0_{pos}"] for pos in range(3))
             except KeyError as exc:
                 raise ValueError(f"index plan lacks member {exc}") from None
             plan = cls.__new__(cls)
@@ -522,19 +500,16 @@ class _IndexPlan:
                 plan.value_dtype_hint = str(archive["vd"])
             if "fp" in archive.files:
                 plan.fixed_point_hint = tuple(int(v) for v in archive["fp"])
-        for arr in (ks, *struct):
-            arr.setflags(write=False)
-        plan._csr_structs[False] = struct
+        ks.setflags(write=False)
         plan._check()
         return plan
 
     def _check(self) -> None:
-        """Vectorised ``O(nnz)`` structural checks of a deserialized plan,
-        deriving its support mask and ``nnz`` once the structure passes.
+        """Structural checks of a deserialized plan, deriving its support
+        mask and ``nnz`` once the structure passes.
 
-        The forward skeleton feeds scipy's unchecked C kernels, so an
-        out-of-range entry in a corrupted artifact would crash the process
-        on the first product; reject it here with a ``ValueError``.
+        A corrupted artifact is rejected here with a ``ValueError`` rather
+        than serving from a structure no constructor would accept.
         """
         mb, nb, p = self.mb, self.nb, self.p
         m, n = self.shape
@@ -549,33 +524,6 @@ class _IndexPlan:
                 f"ks {self.ks.dtype} {self.ks.shape}) is inconsistent"
             )
         self.support, self.nnz = _support_mask(self.ks, self.shape, p)
-        indptr, indices, perm = self._csr_structs[False]
-        if any(
-            arr.ndim != 1 or arr.dtype.kind not in "iu"
-            for arr in (indptr, indices, perm)
-        ):
-            raise ValueError("forward CSR skeleton must be 1-D integer arrays")
-        if (
-            indptr.size != m + 1
-            or indptr[0] != 0
-            or indptr[-1] != self.nnz
-            or np.any(indptr[1:] < indptr[:-1])
-        ):
-            raise ValueError(
-                f"forward CSR indptr must rise monotonically over {m + 1} "
-                f"entries from 0 to nnz={self.nnz}"
-            )
-        if indices.size != self.nnz or perm.size != self.nnz:
-            raise ValueError(
-                f"forward CSR holds {indices.size} indices and {perm.size} "
-                f"value positions, expected nnz={self.nnz}"
-            )
-        if self.nnz and (indices.min() < 0 or indices.max() >= n):
-            raise ValueError(f"forward CSR indices fall outside [0, {n})")
-        if self.nnz and (perm.min() < 0 or perm.max() >= mb * nb * p):
-            raise ValueError(
-                f"forward CSR value positions fall outside [0, {mb * nb * p})"
-            )
 
 
 class BlockPermutedDiagonalMatrix:
@@ -647,7 +595,7 @@ class BlockPermutedDiagonalMatrix:
             )
         self._shape = (int(m), int(n))
         self._plan: _IndexPlan | None = None
-        self._csr_cache: dict[bool, tuple] = {}
+        self._coo_cache: dict[bool, tuple] = {}
         self._backend = self._normalize_backend(backend)
         self.data = data  # through the property: masks padding only if needed
 
@@ -717,7 +665,8 @@ class BlockPermutedDiagonalMatrix:
         if self._shape != (mb * self.p, nb * self.p):
             support = self._get_plan().support
             if np.any(value[~support]):
-                value = value * support  # force padding region to zero
+                # Force the padding region to zero (NaN/inf included).
+                value = np.where(support, value, 0)
         self._data = value
 
     # ------------------------------------------------------------------
@@ -798,7 +747,7 @@ class BlockPermutedDiagonalMatrix:
         out._ks = self._ks
         out._shape = self._shape
         out._plan = self._get_plan()
-        out._csr_cache = {}
+        out._coo_cache = {}
         out._backend = self._backend
         out._value_dtype = name
         out._fixed_point = fmt
@@ -824,8 +773,8 @@ class BlockPermutedDiagonalMatrix:
     def set_backend(self, backend: str | None) -> "BlockPermutedDiagonalMatrix":
         """Pin (or, with ``None``/``"auto"``, unpin) this matrix's backend.
 
-        Only the dispatch target changes -- the cached index plan and CSR
-        value buffers survive, so switching is free.
+        Only the dispatch target changes -- the cached index plan and
+        sparse views survive, so switching is free.
 
         Returns:
             ``self``, for chaining.
@@ -878,7 +827,7 @@ class BlockPermutedDiagonalMatrix:
                 )
             self._shape = (int(m), int(n))
         self._plan = None
-        self._csr_cache = {}
+        self._coo_cache = {}
         # Re-mask under the new structure, in place when possible so any
         # consumer aliasing the buffer keeps seeing this matrix's values.
         if self._shape != (mb * p, nb * p):
@@ -890,7 +839,7 @@ class BlockPermutedDiagonalMatrix:
                 except ValueError:
                     # Genuinely immutable buffer (read-only base we do not
                     # own): aliasing cannot survive, mask into a copy.
-                    self._data = self._data * support
+                    self._data = np.where(support, self._data, 0)
         return self
 
     def like(self, data: np.ndarray) -> "BlockPermutedDiagonalMatrix":
@@ -906,7 +855,7 @@ class BlockPermutedDiagonalMatrix:
         out._ks = self._ks
         out._shape = self._shape
         out._plan = self._get_plan()
-        out._csr_cache = {}
+        out._coo_cache = {}
         out._backend = self._backend
         out._value_dtype = self._value_dtype
         out._fixed_point = self._fixed_point
@@ -934,7 +883,7 @@ class BlockPermutedDiagonalMatrix:
         out._ks = plan.ks
         out._shape = plan.shape
         out._plan = plan
-        out._csr_cache = {}
+        out._coo_cache = {}
         out._backend = self._backend
         out._value_dtype = self._value_dtype
         out._fixed_point = self._fixed_point
@@ -964,13 +913,13 @@ class BlockPermutedDiagonalMatrix:
     # ------------------------------------------------------------------
 
     def plan_bytes(self) -> bytes:
-        """Serialized forward serving plan (see :meth:`_IndexPlan.to_bytes`).
+        """Serialized structure-only plan (see :meth:`_IndexPlan.to_bytes`).
 
         Persist this next to the packed values and rebuild with
-        :meth:`from_plan` to skip the plan build and the CSR skeleton at
-        load time.  The blob is tagged with this matrix's value dtype (and
-        fixed-point format, if any) so :meth:`from_plan` restores the
-        persisted precision by default.
+        :meth:`from_plan` to skip the plan build at load time.  The blob
+        is tagged with this matrix's value dtype (and fixed-point format,
+        if any) so :meth:`from_plan` restores the persisted precision by
+        default.
         """
         return self._get_plan().to_bytes(
             value_dtype=self._value_dtype,
@@ -990,9 +939,9 @@ class BlockPermutedDiagonalMatrix:
 
         The inverse of (:meth:`plan_bytes`, :meth:`to_q`): deployment
         surfaces persist both and reconstruct here, paying only the
-        deserialization; a ``csr`` forward product then reads persisted
-        arrays only, and any other member the plan lacks is derived in
-        ``O(N)`` on first use.  ``data`` follows the aliasing contract.
+        deserialization; every index array a product needs is derived
+        from the structure in ``O(N)`` on first use.  ``data`` follows
+        the aliasing contract.
 
         The value dtype is resolved in order: the explicit arguments, the
         dtype tag the plan blob carries (what
@@ -1028,7 +977,7 @@ class BlockPermutedDiagonalMatrix:
         out._ks = plan.ks
         out._shape = plan.shape
         out._plan = plan
-        out._csr_cache = {}
+        out._coo_cache = {}
         out._backend = cls._normalize_backend(backend)
         out.data = data
         return out
@@ -1286,39 +1235,36 @@ class BlockPermutedDiagonalMatrix:
         """Global input column index feeding each stored slot, ``(mb, nb, p)``."""
         return self._get_plan().cols
 
-    def _csr_values(self, perm: np.ndarray) -> np.ndarray:
-        """CSR value buffer in the compute dtype: an ``nnz``-sized gather,
-        fused with the dequantizing multiply for ``int16`` codes."""
-        gathered = self._data.ravel()[perm]
-        if self._value_dtype == "int16":
-            from repro.nn.quantization import decode_fixed_point
+    def _coo(self, transposed: bool):
+        """Cached ``scipy.sparse.coo_matrix`` of the padded ``W`` (or ``W.T``).
 
-            return decode_fixed_point(gathered, self._fixed_point)
-        return gathered
-
-    def _csr(self, transposed: bool):
-        """Cached ``scipy.sparse.csr_matrix`` view of ``W`` (or ``W.T``).
-
-        The skeleton comes from the index plan; only ``nnz`` values are
-        re-gathered per call, so in-place weight updates are always
-        reflected.  The value buffer is in the compute dtype (float32 for
-        float32 storage -- scipy's spmm then moves and multiplies half the
-        bytes -- float64 otherwise).
+        Coordinates come from the index plan; the value array is
+        re-pointed at ``_kernel_data().reshape(-1)`` on every call -- a
+        view of the stored values for the float modes, so nothing is
+        gathered or copied and in-place weight updates and ``data``
+        reassignment are both seen, and the decoded codes for ``int16``.
+        A COO product adds each output row's terms in slot order, which
+        is ascending column order (the CSR order), onto a ``+0.0``
+        accumulator; a padded slot either adds ``value * 0.0`` (its input
+        is zero padding) to a kept row -- an exact no-op -- or lands in a
+        padded output row the caller cuts.  Products are therefore
+        bit-identical to a CSR over the in-bounds slots.
         """
         key = bool(transposed)
         plan = self._get_plan()
-        entry = self._csr_cache.get(key)
-        if entry is None or entry[0] is not plan:
-            indptr, indices, perm = plan.csr_struct(key)
-            shape = (self.shape[1], self.shape[0]) if transposed else self.shape
-            mat = _scipy_sparse.csr_matrix(
-                (self._csr_values(perm), indices, indptr), shape=shape
-            )
-            self._csr_cache[key] = (plan, mat, perm)
-        else:
-            _, mat, perm = entry
-            mat.data[:] = self._csr_values(perm)
-        return self._csr_cache[key][1]
+        values = self._kernel_data().reshape(-1)
+        entry = self._coo_cache.get(key)
+        if entry is not None and entry[0] is plan:
+            mat = entry[1]
+            mat.data = values
+            return mat
+        rows, cols = plan.coo_coords()
+        shape = (self.mb * self.p, self.nb * self.p)
+        if transposed:
+            rows, cols, shape = cols, rows, shape[::-1]
+        mat = _scipy_sparse.coo_matrix((values, (rows, cols)), shape=shape)
+        self._coo_cache[key] = (plan, mat)
+        return mat
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = W @ x`` touching only the ``m*n/p`` stored weights."""

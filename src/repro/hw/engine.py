@@ -78,9 +78,9 @@ def export_engine_image(
     For every layer the image stores the packed ``q`` vector (in the
     layer's storage dtype: float32 values or int16 fixed-point codes ride
     through untouched), its value-dtype tag, the structure
-    ``(ks, shape, p)``, the ActU mode, and the **forward serving plan**
+    ``(ks, shape, p)``, the ActU mode, and the serialized **index plan**
     (:meth:`~repro.core.BlockPermutedDiagonalMatrix.plan_bytes`: the
-    forward CSR skeleton).  :func:`load_engine_image` then
+    structure and dtype tags, no index array).  :func:`load_engine_image` then
     rebuilds the matrices via
     :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_plan` -- the
     deployment path pays deserialization only, never a plan build or a
@@ -144,7 +144,7 @@ def load_engine_image(
     Raises:
         ValueError: the image is not of the current version, lacks a
             member, or a layer's plan fails its structural checks (e.g. an
-            out-of-range CSR index in a corrupted file); the message names
+            out-of-range ``ks`` in a corrupted file); the message names
             the file (and the slot, for a plan).
     """
     if missing_backend not in ("error", "fallback"):

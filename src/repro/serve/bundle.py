@@ -18,12 +18,12 @@ reads outside its directory.
 Loading a bundle cold-starts a whole sharded server without building an
 index plan or sorting anything: every shard matrix is rebuilt through
 :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_plan` around its
-persisted forward CSR skeleton, which is range-checked at load.  Images
-are stored, not deflated, and hold no other index array -- the support
-mask is derived from the structure and the rest on first use -- so a
-bundle is little bigger than its values.  Bundles from the older deflating
-writer (every plan member persisted) load through the same reader, which
-ignores the extra members.  Only the current format versions load.
+persisted structure ``(ks, shape, p)``, which is checked at load.  Images
+are stored, not deflated, and hold no index array -- the support mask is
+derived from the structure and the rest on first use -- so a bundle is
+little bigger than its values.  Bundles from older writers (a forward CSR
+skeleton, or every plan member, persisted) load through the same reader,
+which ignores the extra members.  Only the current format versions load.
 """
 
 from __future__ import annotations
@@ -180,9 +180,9 @@ def load_staged_bundle(
     no plan is built and nothing is sorted; other plan members are derived
     on first use -- and shard shapes, dtypes, and stage layouts are
     cross-checked against the manifest so a truncated or mixed-up bundle
-    fails loudly.  A plan whose forward CSR skeleton fails its range
-    checks raises ``ValueError`` naming the shard file and slot, before
-    any kernel can read it.  A manifest of another version, one lacking
+    fails loudly.  A plan whose structure fails its checks raises
+    ``ValueError`` naming the shard file and slot, before any kernel can
+    read it.  A manifest of another version, one lacking
     a field, or one naming files other than the exporter's fixed
     ``shard<K>.npz`` / ``stage<L>_aux.npz`` raises ``ValueError`` naming
     the manifest.

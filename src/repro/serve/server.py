@@ -150,6 +150,25 @@ def _shard_block_bounds(
     return bounds
 
 
+def _real_finite_rows(xs: np.ndarray) -> np.ndarray:
+    """A ``(B, n)`` request batch as float64, checked in one pass.
+
+    A complex row would lose its imaginary part in the cast and a NaN/inf
+    row would be served as NaN outputs; either raises ``ValueError``
+    naming the first offending row.
+    """
+    if np.iscomplexobj(xs):
+        rows = np.flatnonzero(np.any(xs.imag != 0, axis=1))
+        row = int(rows[0]) if rows.size else 0
+        raise ValueError(f"request row {row} is complex; inputs must be real")
+    xs = np.asarray(xs, dtype=np.float64)
+    finite = np.isfinite(xs)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ValueError(f"request row {row} holds NaN or inf")
+    return xs
+
+
 def _matrix_storage_entry(matrix: BlockPermutedDiagonalMatrix) -> dict:
     """The manifest's value-storage fields for one (family of) matrices."""
     return {
@@ -1189,13 +1208,18 @@ class ModelServer:
 
         ``arrival_us`` defaults to the previous request's arrival (an
         all-at-once burst when never specified); arrivals are clamped to be
-        non-decreasing so the queue stays ordered.
+        non-decreasing so the queue stays ordered.  A complex input or one
+        holding NaN/inf raises ``ValueError``.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.shape != (self.in_features,):
             raise ValueError(
                 f"expected input of shape ({self.in_features},), got {x.shape}"
             )
+        return self._enqueue(_real_finite_rows(x[None])[0], arrival_us)
+
+    def _enqueue(self, x: np.ndarray, arrival_us: float | None) -> int:
+        """Queue one already validated float64 row."""
         if arrival_us is None:
             arrival_us = self._last_arrival_us
         arrival_us = max(float(arrival_us), self._last_arrival_us)
@@ -1210,19 +1234,28 @@ class ModelServer:
         xs: np.ndarray,
         arrivals_us: np.ndarray | None = None,
     ) -> list[int]:
-        """Queue a batch of requests; returns their ids in order."""
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2:
-            raise ValueError(f"expected inputs of shape (B, n), got {xs.shape}")
+        """Queue a batch of requests; returns their ids in order.
+
+        The whole ``(B, n)`` batch is checked once, before anything is
+        queued: a complex row or one holding NaN/inf raises ``ValueError``
+        naming it.
+        """
+        xs = np.asarray(xs)
+        if xs.ndim != 2 or xs.shape[1] != self.in_features:
+            raise ValueError(
+                f"expected inputs of shape (B, {self.in_features}), "
+                f"got {xs.shape}"
+            )
+        xs = _real_finite_rows(xs)
         if arrivals_us is None:
-            return [self.submit(x) for x in xs]
+            return [self._enqueue(x, None) for x in xs]
         arrivals = np.asarray(arrivals_us, dtype=np.float64)
         if arrivals.shape != (xs.shape[0],):
             raise ValueError(
                 f"arrivals_us shape {arrivals.shape} does not match "
                 f"batch of {xs.shape[0]}"
             )
-        return [self.submit(x, t) for x, t in zip(xs, arrivals)]
+        return [self._enqueue(x, t) for x, t in zip(xs, arrivals)]
 
     def drain(self) -> ServeReport:
         """Serve every pending request and return the drain report.
@@ -1251,6 +1284,10 @@ class ModelServer:
         layer's shard engines concurrently on the host (shut down before
         this method returns, so no threads outlive the drain); the
         simulated clock and every output are unchanged by threading.
+
+        If serving raises, every request of the drain goes back on the
+        queue, ahead of any submitted since, and the error propagates
+        with no report: a later ``drain()`` serves them again.
         """
         pending, self._pending = self._pending, []
         num_layers = len(self.layers)
@@ -1353,6 +1390,9 @@ class ModelServer:
             tail = assembler.finish()
             if tail is not None:
                 run_batch(tail)
+        except BaseException:
+            self._pending = pending + self._pending
+            raise
         finally:
             if executor is not None:
                 executor.shutdown(wait=True)

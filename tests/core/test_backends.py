@@ -1,5 +1,5 @@
 """Backend dispatch: registry, selection precedence, cross-backend
-equivalence, cache-blocked paths, int32 CSR skeletons, and plan
+equivalence, cache-blocked paths, int32 COO coordinates, and plan
 serialization round trips."""
 
 import numpy as np
@@ -193,18 +193,17 @@ class TestCrossBackendEquivalence:
         assert bpd._get_plan() is plan
 
 
-class TestInt32Skeletons:
-    def test_csr_skeleton_is_int32_for_small_matrices(self):
+class TestInt32Coordinates:
+    def test_coo_coordinates_are_int32_for_small_matrices(self):
         bpd = _random_bpd((10, 14), 4)
         for transposed in (False, True):
-            indptr, indices, perm = bpd._get_plan().csr_struct(transposed)
-            assert indptr.dtype == np.int32
-            assert indices.dtype == np.int32
-            assert perm.dtype == np.int64  # numpy gather wants intp
+            mat = bpd._coo(transposed)
+            assert mat.row.dtype == np.int32
+            assert mat.col.dtype == np.int32
 
-    def test_csr_skeleton_arrays_read_only(self):
+    def test_coo_coordinates_read_only(self):
         bpd = _random_bpd((10, 14), 4)
-        for arr in bpd._get_plan().csr_struct(False):
+        for arr in bpd._get_plan().coo_coords():
             with pytest.raises(ValueError):
                 arr[...] = 0
 
@@ -233,12 +232,9 @@ class TestPlanSerialization:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(clone.support_coords(), plan.support_coords()):
             np.testing.assert_array_equal(a, b)
-        for transposed in (False, True):
-            for a, b in zip(
-                clone.csr_struct(transposed), plan.csr_struct(transposed)
-            ):
-                np.testing.assert_array_equal(a, b)
-                assert a.dtype == b.dtype
+        for a, b in zip(clone.coo_coords(), plan.coo_coords()):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
 
     def test_restored_arrays_are_read_only(self):
         bpd = _random_bpd((13, 10), 4, seed=14)
@@ -248,8 +244,8 @@ class TestPlanSerialization:
                 arr[...] = 0
 
     def test_cold_plan_serializes_without_lazy_members(self):
-        """Only the forward serving plan is persisted, however warm the
-        source plan is; everything else stays lazy on the clone."""
+        """Only the structure is persisted, however warm the source plan
+        is; every index array stays lazy on the clone."""
         bpd = _random_bpd((13, 10), 4, seed=15)
         cold = bpd.plan_bytes()
         blob = (bpd._get_plan().warm(), bpd.plan_bytes())[1]
@@ -257,7 +253,7 @@ class TestPlanSerialization:
         clone = mod._IndexPlan.from_bytes(blob)
         assert clone._t_arrays is None and clone._support_coords is None
         assert clone._rows is None and clone._cols is None
-        assert set(clone._csr_structs) == {False}
+        assert clone._coo_coords is None
 
     def test_from_plan_runs_products_without_rebuild(self, monkeypatch):
         bpd = _random_bpd((13, 10), 4, seed=16)
@@ -295,25 +291,16 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="version"):
             mod._IndexPlan.from_bytes(buffer.getvalue())
 
-    @pytest.mark.parametrize(
-        "dropped, named",
-        [
-            (("csr0_0", "csr0_1", "csr0_2"), "csr0_0"),
-            (("csr0_1",), "csr0_1"),
-            (("csr0_2",), "csr0_2"),
-        ],
-    )
-    def test_plan_without_forward_skeleton_rejected(self, dropped, named):
+    @pytest.mark.parametrize("dropped", ["ks", "shape", "p"])
+    def test_plan_without_structure_member_rejected(self, dropped):
         import io
 
         bpd = _random_bpd((13, 10), 4, seed=24)
         with np.load(io.BytesIO(bpd.plan_bytes())) as archive:
             payload = {
-                key: archive[key]
-                for key in archive.files
-                if key not in dropped
+                key: archive[key] for key in archive.files if key != dropped
             }
         buffer = io.BytesIO()
         np.savez(buffer, **payload)
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match=f"lacks member '{dropped} "):
             mod._IndexPlan.from_bytes(buffer.getvalue())

@@ -1,11 +1,12 @@
-"""Index-light bundles: stored members, forward-only plans, checked loads.
+"""Index-free bundles: stored members, structure-only plans, checked loads.
 
-Shard images persist the values, the structure and the forward CSR
-skeleton -- nothing else.  These tests pin that layout, the derivation of
-the support mask and every other plan member on a loaded matrix (without
-building a plan), the structural checks that keep a corrupted skeleton
-from reaching scipy's unchecked kernels, and that bundles written by the
-older, fully warmed, deflated writer still boot and serve unchanged.
+Shard images persist the values and the structure ``(ks, shape, p)`` --
+no index array.  These tests pin that layout, the derivation of the
+support mask and every other plan member on a loaded matrix (without
+building a plan), the structural checks that reject a corrupted plan at
+boot, and that bundles written by older writers (a deflated, fully warmed
+one, and one persisting the forward CSR skeleton) still boot and serve
+unchanged, whatever their extra members hold.
 """
 
 import io
@@ -63,7 +64,7 @@ def _probe(server: ModelServer) -> np.ndarray:
 
 
 class TestLeanImages:
-    def test_shard_images_are_stored_with_forward_only_plans(self, tmp_path):
+    def test_shard_images_hold_structure_only_plans(self, tmp_path):
         _export(tmp_path, _layers())
         for shard in sorted(tmp_path.glob("shard*.npz")):
             with zipfile.ZipFile(shard) as archive:
@@ -73,12 +74,8 @@ class TestLeanImages:
             payload = _read_npz(shard)
             for idx in range(int(payload["num_layers"])):
                 members = _plan_members(payload[f"layer{idx}_plan"].tobytes())
-                assert {"csr0_0", "csr0_1", "csr0_2", "ks"} <= members
-                leaked = {
-                    key for key in members
-                    if key.startswith(("t", "sc", "csr1_"))
-                    or key in ("rows", "cols", "support", "nnz")
-                }
+                assert {"version", "p", "shape", "ks", "vd"} <= members
+                leaked = members - {"version", "p", "shape", "ks", "vd", "fp"}
                 assert not leaked, leaked
 
     def test_lazy_members_match_the_exporter_without_a_plan_build(
@@ -121,7 +118,8 @@ class TestLeanImages:
     "bundle", ZOO_BUNDLES, ids=[path.parent.name for path in ZOO_BUNDLES]
 )
 class TestCommittedArtifacts:
-    """Bundles written by the deflating, fully warmed writer still load."""
+    """Bundles written by older writers (deflated, fully warmed, or with
+    a persisted forward CSR skeleton) still load."""
 
     def test_old_bundle_boots_without_plan_builds(self, bundle):
         with sanitize() as guard:
@@ -153,22 +151,40 @@ def _tamper(blob: bytes, key: str, mutate) -> bytes:
 
 class TestCorruptPlans:
     @pytest.mark.parametrize(
-        "key, mutate, match",
+        "key, mutate",
         [
-            ("csr0_1", lambda a: a.__setitem__(0, 10**6), "indices"),
-            ("csr0_1", lambda a: a.__setitem__(-1, -1), "indices"),
-            ("csr0_0", lambda a: a.__setitem__(1, a[2] + 1), "indptr"),
-            ("csr0_0", lambda a: a.__setitem__(-1, a[-1] + 1), "indptr"),
-            ("csr0_2", lambda a: a.__setitem__(0, a.max() + 10**6), "value positions"),
-            ("csr0_0", lambda a: a[:-1], "indptr"),
-            ("ks", lambda a: a.__setitem__((0, 0), 10**6), "structure"),
+            ("ks", lambda a: a.__setitem__((0, 0), 10**6)),
+            ("ks", lambda a: a.__setitem__((-1, -1), -1)),
+            ("ks", lambda a: a.astype(np.float64)),
+            ("shape", lambda a: a.__setitem__(0, a[0] + 8)),
+            ("p", lambda a: np.int64(0)),
         ],
     )
-    def test_tampered_skeleton_rejected(self, key, mutate, match):
+    def test_tampered_structure_rejected(self, key, mutate):
         matrix = _layers()[1][0]
         blob = _tamper(matrix.plan_bytes(), key, mutate)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="structure"):
             mod._IndexPlan.from_bytes(blob)
+
+    def test_permuted_legacy_skeleton_is_ignored(self, tmp_path):
+        """Older writers persisted a forward CSR skeleton.  Permuting its
+        ``indices`` and value positions (every entry still in range) used
+        to pass the load checks and serve wrong outputs; serving now
+        derives every coordinate from the structure and never reads it."""
+        source = REPO / "benchmarks/results/compress_zoo/nmt/bundle"
+        bundle = tmp_path / "bundle"
+        shutil.copytree(source, bundle)
+        shard = bundle / "shard0.npz"
+        payload = _read_npz(shard)
+        blob = payload["layer0_plan"].tobytes()
+        assert {"csr0_0", "csr0_1", "csr0_2"} <= _plan_members(blob)
+        for key in ("csr0_1", "csr0_2"):
+            blob = _tamper(blob, key, lambda a: a[::-1])
+        payload["layer0_plan"] = np.frombuffer(blob, dtype=np.uint8)
+        np.savez(shard, **payload)
+        expected = _probe(ModelServer.from_bundle(source, num_threads=1))
+        served = _probe(ModelServer.from_bundle(bundle, num_threads=1))
+        np.testing.assert_array_equal(served, expected)
 
     def test_persisted_support_mask_is_ignored(self):
         """Older writers persisted the support mask.  Swapping one padded
@@ -197,10 +213,10 @@ class TestCorruptPlans:
         np.testing.assert_array_equal(served, expected)
 
     def test_corrupted_bundle_raises_instead_of_crashing(self, tmp_path):
-        """An out-of-range forward CSR index used to boot fine and then
-        segfault scipy on the first drain; now the boot raises a typed
-        error naming the shard file and slot, in a child process so a
-        regression cannot take the test runner down with it."""
+        """A corrupted plan (out-of-range ``ks``) must fail the boot with
+        a typed error naming the shard file and slot, never reach a
+        kernel; run in a child process so a regression cannot take the
+        test runner down with it."""
         source = REPO / "benchmarks/results/compress_zoo/nmt/bundle"
         bundle = tmp_path / "bundle"
         shutil.copytree(source, bundle)
@@ -209,7 +225,7 @@ class TestCorruptPlans:
         payload["layer0_plan"] = np.frombuffer(
             _tamper(
                 payload["layer0_plan"].tobytes(),
-                "csr0_1",
+                "ks",
                 lambda a: a.fill(10**6),
             ),
             dtype=np.uint8,
@@ -240,4 +256,4 @@ class TestCorruptPlans:
         assert result.returncode == 3, (result.returncode, result.stderr)
         assert "shard0.npz" in result.stdout
         assert "slot 0" in result.stdout
-        assert "indices" in result.stdout
+        assert "structure" in result.stdout

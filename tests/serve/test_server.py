@@ -150,6 +150,55 @@ class TestTimingAndStats:
         assert empty.throughput_rps == 0.0
 
 
+class TestDrainFailure:
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    def test_failed_drain_requeues_its_requests(self, num_threads):
+        layers = _stack()
+        xs = _requests(3, 48)
+        clean = ModelServer(layers, num_shards=2, num_threads=num_threads)
+        clean.submit_many(xs)
+        expected = clean.drain()
+
+        server = ModelServer(layers, num_shards=2, num_threads=num_threads)
+        server.submit_many(xs)
+        shard = server.layers[1].shards[1]
+
+        def boom(x):
+            raise RuntimeError("shard failure")
+
+        shard.matmat = boom
+        with pytest.raises(RuntimeError, match="shard failure"):
+            server.drain()
+        del shard.matmat
+        retry = server.drain()
+        assert retry.num_requests == 3
+        np.testing.assert_array_equal(
+            np.stack(retry.outputs), np.stack(expected.outputs)
+        )
+        np.testing.assert_array_equal(retry.latencies_us, expected.latencies_us)
+        assert server.drain().num_requests == 0
+
+    def test_requeued_requests_precede_later_submissions(self):
+        layers = _stack()
+        xs = _requests(4, 48)
+        server = ModelServer(layers, num_shards=2)
+        server.submit_many(xs[:3])
+        shard = server.layers[0].shards[0]
+
+        def boom(x):
+            raise RuntimeError("shard failure")
+
+        shard.matmat = boom
+        with pytest.raises(RuntimeError):
+            server.drain()
+        del shard.matmat
+        assert server.submit(xs[3]) == 3
+        report = server.drain()
+        np.testing.assert_array_equal(
+            np.stack(report.outputs), _unsharded_reference(layers, xs)
+        )
+
+
 class TestValidation:
     def test_layer_chain_mismatch_rejected(self):
         l1 = BlockPermutedDiagonalMatrix.random((64, 48), 4, rng=0)
@@ -161,6 +210,33 @@ class TestValidation:
         server = ModelServer(_stack(), num_shards=2)
         with pytest.raises(ValueError, match="expected input"):
             server.submit(np.zeros(47))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.nan, "NaN or inf"), (np.inf, "NaN or inf"), (-np.inf, "NaN or inf"),
+         (1j, "complex")],
+    )
+    def test_bad_rows_rejected_by_name(self, bad, message):
+        server = ModelServer(_stack(), num_shards=2)
+        xs = _requests(4, 48).astype(np.result_type(bad, np.float64))
+        xs[2, 5] = bad
+        with pytest.raises(ValueError, match=f"row 2 .*{message}"):
+            server.submit_many(xs)
+        with pytest.raises(ValueError, match=message):
+            server.submit(xs[2])
+        with pytest.raises(ValueError, match=message):
+            server.submit_many(xs, arrivals_us=np.arange(4.0))
+        assert server.drain().num_requests == 0  # nothing was queued
+
+    def test_complex_rows_without_imaginary_part_still_rejected(self):
+        server = ModelServer(_stack(), num_shards=2)
+        with pytest.raises(ValueError, match="row 0 is complex"):
+            server.submit_many(_requests(2, 48).astype(np.complex128))
+
+    def test_wrong_batch_width_rejected(self):
+        server = ModelServer(_stack(), num_shards=2)
+        with pytest.raises(ValueError, match=r"\(B, 48\)"):
+            server.submit_many(np.zeros((3, 47)))
 
     def test_arrivals_clamped_non_decreasing(self):
         server = ModelServer(_stack(), num_shards=2)
