@@ -39,15 +39,19 @@ from _common import emit, format_table
 from repro.core import BlockPermutedDiagonalMatrix, available_backends
 
 # (m, n, p, batch); the (4096, 4096, 64, 128) point is the acceptance grid.
+# The weight gradient runs as a slab GEMM for p <= 12 and as a gather
+# above that, so each grid holds points on both sides of the cutoff.
 FULL_GRID = [
     (512, 512, 16, 32),
     (1024, 1024, 32, 64),
     (2048, 1024, 32, 128),
     (4096, 4096, 64, 128),
+    (2048, 4608, 10, 64),  # AlexNet FC6 at 1/2 width, Table II's p
 ]
 SMOKE_GRID = [
     (128, 128, 8, 16),
     (130, 96, 8, 16),  # non-multiple-of-p shapes keep the padded path honest
+    (128, 128, 16, 16),
 ]
 
 

@@ -16,10 +16,11 @@ in the matrix's compute dtype: float32 storage runs scipy's float32
 product end to end (half the memory traffic), everything else the float64
 reference arithmetic.  The backend keeps its historical name ``csr``.
 
-The weight gradient reuses the plan's column skeleton through the shared
-batched contraction (:func:`~repro.core.backends.gather.batched_grad_data`):
-sparse storage buys nothing there because the output is exactly the dense
-``(mb, nb, p)`` value array.
+The weight gradient is the shared
+:func:`~repro.core.backends.gather.batched_grad_data`: its output is the
+dense ``(mb, nb, p)`` value array, which a sparse product cannot produce
+directly, so for small ``p`` it runs as dense BLAS slab products plus a
+slot pick and for large ``p`` as gathers along the plan's column skeleton.
 """
 
 from __future__ import annotations

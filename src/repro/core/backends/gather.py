@@ -13,11 +13,16 @@ cache.  At (m=n=4096, p=64, batch=128) this runs the whole backward
 roughly 4x faster than the one-shot gather it replaces.
 
 The batched weight gradient implemented here is shared by the other CPU
-backends (see :class:`~repro.core.backends.csr.CsrBackend`): it contracts
-the whole batch against the plan's column skeleton -- the same ``(row,
-col)`` set the sparse views are built from -- with the ``dy`` side
-expressed as a broadcast over block columns instead of a second
-``nnz x B`` gather.
+backends (see :class:`~repro.core.backends.csr.CsrBackend`) and picks one
+of two paths on the block size.  For ``p <= 12`` (:data:`_GEMM_GRAD_MAX_P`,
+which covers Table II's FC layers and every compression-zoo entry) each
+block-row slab is one dense BLAS product ``dy_t[slab rows] @ x`` followed
+by a pick of every stored slot at ``(local row, plan.cols)``: ``p`` times
+the multiply-adds, but at BLAS speed and with no ``nnz x B`` gathered
+temporary.  For larger ``p`` the extra multiply-adds lose, and the whole
+batch is contracted against cache-blocked gathers of ``x`` along the
+plan's column skeleton, with the ``dy`` side expressed as a broadcast
+over block columns instead of a second ``nnz x B`` gather.
 """
 
 from __future__ import annotations
@@ -36,6 +41,13 @@ _ONESHOT_LIMIT_ELEMENTS = 1 << 20
 # cache-blocked path; chosen so slab + einsum output stay cache resident
 # (measured fastest across 512..4096-wide layers, see docs/BENCHMARKS.md).
 _CHUNK_TARGET_ELEMENTS = 1 << 16
+
+# Largest block size whose weight gradient runs as a dense slab GEMM plus
+# a slot pick rather than a gather.  The GEMM costs a dense m*n*B product
+# whatever p is, while the gather shrinks as 1/p: at p <= 12 the GEMM
+# measured 0.16-0.85x the gather's time, and from p = 16 up the ratio
+# rose above 1 under host load (see docs/BENCHMARKS.md).
+_GEMM_GRAD_MAX_P = 12
 
 
 def _element_limit() -> int:
@@ -68,18 +80,45 @@ def _pad_columns_t(arr_t: np.ndarray, width: int) -> np.ndarray:
     return pad
 
 
-def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Weight gradient for a whole batch off the shared column skeleton.
+def _grad_gemm(matrix, plan, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Small-``p`` weight gradient: one BLAS product per block-row slab,
+    then a slot pick.
 
-    ``dq[bi, bj, c] = sum_b dy[b, bi*p+c] * x[b, col(bi, bj, c)]`` (Eqn.
-    (2)).  Transposed, cache-blocked gathers of ``x`` against
-    ``plan.cols`` serve the entire batch; the ``dy`` factor never needs
-    gathering because in block order its rows are exactly ``dy.T``
-    reshaped to ``(mb, p, B)`` and broadcast over ``nb`` -- that broadcast
-    plus the chunked gather is what makes this batched formulation several
-    times cheaper than per-sample (or one-shot ``nnz x B``) gathers.
+    Each slab computes the dense ``dy_t[slab rows] @ x_pad`` -- ``p`` times
+    the multiply-adds of the stored slots, but at BLAS speed and with no
+    ``nnz x B`` gathered temporary -- and keeps only the entry at ``(local
+    row, plan.cols)`` of every stored slot.  Slabs are capped at
+    :func:`_oneshot_limit` elements (at least one block row).
     """
-    plan = matrix._get_plan()
+    p = matrix.p
+    width = matrix.nb * p
+    if not plan.aligned_n:
+        x_pad = np.zeros((x.shape[0], width), dtype=x.dtype)
+        x_pad[:, : x.shape[1]] = x
+        x = x_pad
+    # Zero rows past ``m``: padded rows then yield exact zeros.
+    dy_t = _pad_columns_t(dy.T, matrix.mb * p)
+    rows = max(1, min(matrix.mb, _oneshot_limit() // (p * width)))
+    # Flat offset of every slot's (local row, 0) inside one slab product.
+    row_base = np.arange(0, rows * p * width, width).reshape(rows, 1, p)
+    grad = np.empty(matrix.data.shape, dtype=np.result_type(x, dy))
+    for start in range(0, matrix.mb, rows):
+        stop = min(start + rows, matrix.mb)
+        slab = dy_t[start * p : stop * p] @ x
+        grad[start:stop] = np.take(
+            slab, plan.cols[start:stop] + row_base[: stop - start]
+        )
+    return grad
+
+
+def _grad_gather(matrix, plan, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Large-``p`` weight gradient: cache-blocked gathers of ``x``.
+
+    Transposed gathers of ``x`` against ``plan.cols`` serve the entire
+    batch; the ``dy`` factor never needs gathering because in block order
+    its rows are exactly ``dy.T`` reshaped to ``(mb, p, B)`` and broadcast
+    over ``nb``.
+    """
     batch = x.shape[0]
     # Transposed orientation: gathers read contiguous (batch,)-rows of
     # ``x.T`` instead of strided columns of ``x``.
@@ -90,23 +129,36 @@ def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
         gathered = x_t[plan.flat_cols].reshape(
             matrix.mb, matrix.nb, matrix.p, batch
         )
-        grad = np.einsum("icb,ijcb->ijc", dy_blocks, gathered)
-    else:
-        rows = _chunk_rows(matrix.mb, matrix.nb * matrix.p * batch)
-        # The gradient is w.r.t. the *logical* weights, in the compute
-        # dtype of the operands -- never the storage dtype (which may be
-        # int16 codes that could not hold a gradient at all).
-        grad = np.empty(
-            matrix.data.shape, dtype=np.result_type(x_t, dy_t)
+        return np.einsum("icb,ijcb->ijc", dy_blocks, gathered)
+    rows = _chunk_rows(matrix.mb, matrix.nb * matrix.p * batch)
+    grad = np.empty(matrix.data.shape, dtype=np.result_type(x_t, dy_t))
+    for start in range(0, matrix.mb, rows):
+        stop = min(start + rows, matrix.mb)
+        gathered = x_t[plan.cols[start:stop].reshape(-1)].reshape(
+            stop - start, matrix.nb, matrix.p, batch
         )
-        for start in range(0, matrix.mb, rows):
-            stop = min(start + rows, matrix.mb)
-            gathered = x_t[plan.cols[start:stop].reshape(-1)].reshape(
-                stop - start, matrix.nb, matrix.p, batch
-            )
-            grad[start:stop] = np.einsum(
-                "icb,ijcb->ijc", dy_blocks[start:stop], gathered
-            )
+        grad[start:stop] = np.einsum(
+            "icb,ijcb->ijc", dy_blocks[start:stop], gathered
+        )
+    return grad
+
+
+def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Weight gradient for a whole batch off the shared column skeleton.
+
+    ``dq[bi, bj, c] = sum_b dy[b, bi*p+c] * x[b, col(bi, bj, c)]`` (Eqn.
+    (2)).  Up to :data:`_GEMM_GRAD_MAX_P` the dense slab product plus a
+    slot pick (:func:`_grad_gemm`) beats gathering; above it the
+    ``p``-fold extra multiply-adds lose to the cache-blocked gather
+    (:func:`_grad_gather`).  The gradient is w.r.t. the *logical* weights,
+    in the compute dtype of the operands -- never the storage dtype (which
+    may be int16 codes that could not hold a gradient at all).
+    """
+    plan = matrix._get_plan()
+    if matrix.p <= _GEMM_GRAD_MAX_P:
+        grad = _grad_gemm(matrix, plan, x, dy)
+    else:
+        grad = _grad_gather(matrix, plan, x, dy)
     if plan.full_support:
         return grad
     return grad * plan.support

@@ -28,19 +28,34 @@ def iterate_minibatches(
 
 
 def evaluate_classifier(model: Module, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
-    """Top-1 accuracy of ``model`` on ``(x, y)``."""
+    """Top-1 accuracy of ``model`` on ``(x, y)``, run in eval mode.
+
+    Every submodule's train/eval mode is restored afterwards, so the
+    caller's model leaves exactly as it came in.
+    """
+    modes = [(module, module.training) for module in model.modules()]
     model.eval()
-    correct = 0
-    for start in range(0, x.shape[0], batch_size):
-        logits = model.forward(x[start : start + batch_size])
-        correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
-    model.train()
+    try:
+        correct = 0
+        for start in range(0, x.shape[0], batch_size):
+            logits = model.forward(x[start : start + batch_size])
+            correct += int((logits.argmax(axis=1) == y[start : start + batch_size]).sum())
+    finally:
+        for module, training in modes:
+            module.training = training
     return correct / x.shape[0]
 
 
 @dataclass
 class TrainHistory:
-    """Per-epoch training record."""
+    """Per-epoch training record.
+
+    ``train_accuracy`` is each epoch's *running* top-1 accuracy: the
+    fraction of training samples classified correctly by the minibatch
+    logits the epoch already computed, i.e. in train mode and before that
+    minibatch's update -- not a second pass over the training set.
+    ``test_accuracy`` is a separate eval-mode pass after the epoch.
+    """
 
     losses: list[float] = field(default_factory=list)
     train_accuracy: list[float] = field(default_factory=list)
@@ -53,6 +68,9 @@ class TrainHistory:
 
 class Trainer:
     """Minimal epoch-driven trainer for classification models.
+
+    Each epoch runs exactly one forward/backward per minibatch; the
+    training accuracy in :class:`TrainHistory` comes from those logits.
 
     Args:
         model: the network (forward/backward Module).
@@ -80,15 +98,22 @@ class Trainer:
 
     def train_epoch(self, x: np.ndarray, y: np.ndarray) -> float:
         """One pass over the data; returns the mean minibatch loss."""
+        return self._run_epoch(x, y)[0]
+
+    def _run_epoch(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+        """One pass over the data: mean minibatch loss and running top-1
+        accuracy of the minibatch logits."""
         self.model.train()
         losses = []
+        correct = 0
         for xb, yb in iterate_minibatches(x, y, self.batch_size, self.rng):
             logits = self.model.forward(xb)
+            correct += int((logits.argmax(axis=1) == yb).sum())
             losses.append(self.loss.forward(logits, yb))
             self.optimizer.zero_grad()
             self.model.backward(self.loss.backward())
             self.optimizer.step()
-        return float(np.mean(losses))
+        return float(np.mean(losses)), correct / x.shape[0]
 
     def fit(
         self,
@@ -102,11 +127,9 @@ class Trainer:
         """Train for ``epochs`` passes, tracking accuracies."""
         history = TrainHistory()
         for epoch in range(epochs):
-            loss = self.train_epoch(x_train, y_train)
+            loss, train_acc = self._run_epoch(x_train, y_train)
             history.losses.append(loss)
-            history.train_accuracy.append(
-                evaluate_classifier(self.model, x_train, y_train)
-            )
+            history.train_accuracy.append(train_acc)
             if x_test is not None:
                 history.test_accuracy.append(
                     evaluate_classifier(self.model, x_test, y_test)

@@ -168,8 +168,11 @@ class TestCrossBackendEquivalence:
         self, shape, p, monkeypatch
     ):
         """Force the cache-blocked path (one block row per slab) for every
-        product and re-check against the dense reference."""
+        product and re-check against the dense reference.  The gradient
+        cutoff is pinned to 0 so the chunked *gather* gradient runs, not
+        the small-``p`` GEMM."""
         monkeypatch.setattr(gather_mod, "_ONESHOT_LIMIT_ELEMENTS", 0)
+        monkeypatch.setattr(gather_mod, "_GEMM_GRAD_MAX_P", 0)
         monkeypatch.setattr(gather_mod, "_CHUNK_TARGET_ELEMENTS", 1)
         bpd = _random_bpd(shape, p, seed=7, backend="gather")
         dense = bpd.to_dense()
@@ -191,6 +194,81 @@ class TestCrossBackendEquivalence:
         after = bpd.set_backend("gather").matmat(x)
         np.testing.assert_allclose(after, before, atol=1e-12)
         assert bpd._get_plan() is plan
+
+
+def _masked_dense_grad(bpd, x, dy):
+    """Reference ``dq``: the dense ``dy.T @ x`` read at the stored slots."""
+    return BlockPermutedDiagonalMatrix.from_dense(
+        (dy.T @ x) * bpd.dense_mask(), bpd.p, ks=bpd.ks
+    ).data
+
+
+class TestGradPaths:
+    """Both weight-gradient paths -- the small-``p`` slab GEMM plus slot
+    pick and the gather contraction -- each forced through the ``p``
+    cutoff, against the dense masked reference."""
+
+    PATHS = {"gemm": 1 << 30, "gather": 0}
+    GRAD_SHAPES = SHAPES + [((40, 36), 16), ((33, 50), 12)]
+
+    @pytest.fixture(params=sorted(PATHS))
+    def path(self, request, monkeypatch):
+        monkeypatch.setattr(
+            gather_mod, "_GEMM_GRAD_MAX_P", self.PATHS[request.param]
+        )
+        return request.param
+
+    @pytest.mark.parametrize("shape,p", GRAD_SHAPES)
+    @pytest.mark.parametrize("slabs", ["one", "per_block_row"])
+    def test_matches_dense_reference(self, path, shape, p, slabs, monkeypatch):
+        if slabs == "per_block_row":
+            monkeypatch.setattr(gather_mod, "_ONESHOT_LIMIT_ELEMENTS", 0)
+        bpd = _random_bpd(shape, p, seed=21)
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(6, shape[1]))
+        dy = rng.normal(size=(6, shape[0]))
+        for name in available_backends():
+            bpd.set_backend(name)
+            np.testing.assert_allclose(
+                bpd.grad_data(x, dy), _masked_dense_grad(bpd, x, dy),
+                atol=1e-10, err_msg=f"{path}/{name}",
+            )
+
+    @pytest.mark.parametrize("shape,p", GRAD_SHAPES)
+    def test_row_shards_match_dense_reference(self, path, shape, p):
+        bpd = _random_bpd(shape, p, seed=23)
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(5, shape[1]))
+        dy = rng.normal(size=(5, shape[0]))
+        full = _masked_dense_grad(bpd, x, dy)
+        row = 0
+        for shard in bpd.row_shards(min(3, bpd.mb)):
+            rows = slice(row, row + shard.shape[0])
+            np.testing.assert_allclose(
+                shard.grad_data(x, dy[:, rows]),
+                full[row // p : row // p + shard.mb],
+                atol=1e-10,
+            )
+            row += shard.shape[0]
+
+    @pytest.mark.parametrize("value_dtype,expected", [
+        ("float64", np.float64),
+        ("float32", np.float32),
+        ("int16", np.float64),
+    ])
+    def test_output_dtype(self, path, value_dtype, expected):
+        bpd = _random_bpd((13, 10), 4, seed=25).with_value_dtype(value_dtype)
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(3, 10)).astype(np.float32)
+        dy = rng.normal(size=(3, 13)).astype(np.float32)
+        grad = bpd.grad_data(x, dy)
+        assert grad.dtype == expected
+        assert grad.shape == bpd.data.shape
+        np.testing.assert_allclose(
+            grad, _masked_dense_grad(bpd, x.astype(np.float64),
+                                     dy.astype(np.float64)),
+            rtol=1e-5, atol=1e-5,
+        )
 
 
 class TestInt32Coordinates:

@@ -6,6 +6,7 @@ import pytest
 from repro.nn import (
     Adam,
     CrossEntropyLoss,
+    Dropout,
     Linear,
     MSELoss,
     PermDiagLinear,
@@ -13,6 +14,7 @@ from repro.nn import (
     SGD,
     Sequential,
     Trainer,
+    evaluate_classifier,
 )
 from repro.nn.losses import cross_entropy_with_onehot
 from repro.nn.optim import clip_grad_norm
@@ -191,3 +193,68 @@ class TestTrainer:
         history = trainer.fit(x, y, x, y, epochs=3)
         assert len(history.losses) == 3
         assert len(history.test_accuracy) == 3
+
+    def _pd_model(self):
+        return Sequential(
+            PermDiagLinear(8, 16, p=2, rng=7), ReLU(), Linear(16, 2, rng=8)
+        )
+
+    def _trainer(self, model, loss=None):
+        return Trainer(
+            model, Adam(model.parameters(), lr=0.01),
+            loss or CrossEntropyLoss(), batch_size=32, rng=9,
+        )
+
+    def test_fit_runs_one_forward_per_minibatch(self):
+        x, y = self._toy_data(100)
+        model = self._pd_model()
+        calls = []
+        forward = model.forward
+        model.forward = lambda xb: calls.append(len(xb)) or forward(xb)
+        self._trainer(model).fit(x, y, epochs=3)
+        assert len(calls) == 3 * int(np.ceil(100 / 32))
+        assert sum(calls) == 3 * 100
+
+    def test_train_accuracy_is_running_minibatch_accuracy(self):
+        x, y = self._toy_data(100)
+        seen = []
+
+        class RecordingLoss(CrossEntropyLoss):
+            def forward(self, logits, labels):
+                seen.append(int((logits.argmax(axis=1) == labels).sum()))
+                return super().forward(logits, labels)
+
+        history = self._trainer(self._pd_model(), RecordingLoss()).fit(
+            x, y, epochs=3
+        )
+        per_epoch = int(np.ceil(100 / 32))
+        assert history.train_accuracy == [
+            sum(seen[e * per_epoch : (e + 1) * per_epoch]) / 100
+            for e in range(3)
+        ]
+
+    def test_fit_matches_manual_train_epoch_loop(self):
+        x, y = self._toy_data(100)
+        fitted, manual = self._pd_model(), self._pd_model()
+        history = self._trainer(fitted).fit(x, y, x, y, epochs=3)
+        trainer = self._trainer(manual)
+        losses = [trainer.train_epoch(x, y) for _ in range(3)]
+        assert history.losses == losses
+        for a, b in zip(fitted.parameters(), manual.parameters()):
+            np.testing.assert_array_equal(a.value, b.value)
+
+    def test_evaluate_classifier_keeps_caller_mode(self):
+        x, y = self._toy_data(50)
+        model = Sequential(Linear(8, 16, rng=10), Dropout(0.5, rng=11),
+                           Linear(16, 2, rng=12)).eval()
+        before = model.forward(x)
+        evaluate_classifier(model, x, y)
+        assert not any(module.training for module in model.modules())
+        np.testing.assert_array_equal(model.forward(x), before)
+        # Mixed modes come back exactly as they were.
+        model.train()
+        model.layers[1].training = False
+        evaluate_classifier(model, x, y)
+        assert [module.training for module in model.modules()] == [
+            True, True, False, True
+        ]
